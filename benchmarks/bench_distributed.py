@@ -2,10 +2,11 @@
 
 ``bench_parallel.py`` proves worker-count-independent merging when the
 scenario already *has* independent partitions.  This benchmark covers the
-hard case that motivated :mod:`repro.core.distributed`: a single
-connected 3-node symbolic flood whose SDS component graph gives
-``ParallelRunner`` exactly one partition and therefore zero parallelism.
-The distributed runner deepens the engine until the component fractures,
+hard case that motivated the adaptive cut of
+:mod:`repro.core.distributed`: a single connected 3-node symbolic flood
+whose SDS component graph gives a fixed virtual-time cut exactly one
+partition and therefore zero parallelism.  The adaptive cut deepens the
+engine until the component fractures,
 ships each subtree as a self-contained job, and work-steals stragglers.
 
 Two properties are gated:
@@ -134,7 +135,7 @@ def test_distributed_speedup(once, benchmark):
     )
     if cores >= 4:
         # The acceptance bar: near-linear scaling on the connected
-        # component ParallelRunner cannot split at all.
+        # component a fixed time cut cannot split at all.
         assert speedup >= 1.5, (
             f"distributed run too slow: {sequential_s:.2f}s sequential vs"
             f" {distributed_s:.2f}s on {WORKERS} workers (x{speedup:.2f})"

@@ -2,8 +2,9 @@
 
 ``bench_partition.py`` reports the *ideal* speedup the partition
 decomposition allows; this benchmark actually runs the partitions on
-worker processes via :class:`repro.core.parallel.ParallelRunner` and
-compares measured wall-clock speedup against
+worker processes via :class:`repro.core.distributed.DistributedRunner`
+(virtual-time cut, stealing off) and compares measured wall-clock
+speedup against
 :func:`~repro.core.partition.projected_speedup`.
 
 Configuration: the paper's 5x5 grid collection scenario under COW with a
@@ -24,7 +25,7 @@ import time
 
 import pytest
 
-from repro.api import ParallelRunner, build_engine
+from repro.api import DistributedRunner, build_engine
 from repro.workloads import grid_scenario
 
 
@@ -50,8 +51,8 @@ def test_parallel_speedup_grid5_cow(once, benchmark, workers):
         sequential_s = time.perf_counter() - t0
 
         t1 = time.perf_counter()
-        parallel = ParallelRunner(
-            _heavy_grid(), "cow", workers=workers, split_ms=SPLIT_MS
+        parallel = DistributedRunner(
+            _heavy_grid(), "cow", workers=workers, split_ms=SPLIT_MS, steal=False
         ).run()
         parallel_s = time.perf_counter() - t1
         return sequential, sequential_s, parallel, parallel_s

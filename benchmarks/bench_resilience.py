@@ -4,7 +4,7 @@ Two questions a long-running SDE deployment needs answered:
 
 1. **What does surviving a worker kill cost?**  With
    ``SDE_CHAOS_KILL_WORKER`` every worker's first attempt dies
-   unreported; the supervisor detects the deaths and retries.  The
+   unreported; the coordinator detects the deaths and retries.  The
    benchmark compares wall-clock against the unfaulted parallel run and
    asserts the recovered results are identical (losing a worker must
    never change the answer, only the wall-clock).
@@ -19,7 +19,7 @@ so repetition would only burn CI minutes.
 import os
 import time
 
-from repro.api import ParallelRunner, build_engine, resume_engine
+from repro.api import DistributedRunner, build_engine, resume_engine
 from repro.core.resilience import RetryPolicy, save_checkpoint
 from repro.workloads import grid_scenario
 
@@ -37,22 +37,24 @@ def _fast_policy():
 def test_chaos_recovery_overhead(once, benchmark, monkeypatch):
     def measure():
         t0 = time.perf_counter()
-        clean = ParallelRunner(
+        clean = DistributedRunner(
             _scenario(),
             "cow",
             workers=2,
             split_ms=SPLIT_MS,
+            steal=False,
             retry_policy=_fast_policy(),
         ).run()
         clean_s = time.perf_counter() - t0
 
         monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
         t1 = time.perf_counter()
-        chaos = ParallelRunner(
+        chaos = DistributedRunner(
             _scenario(),
             "cow",
             workers=2,
             split_ms=SPLIT_MS,
+            steal=False,
             retry_policy=_fast_policy(),
         ).run()
         chaos_s = time.perf_counter() - t1

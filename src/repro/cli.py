@@ -133,7 +133,7 @@ def _fusion_disabled(args) -> bool:
 
 
 def _run_report(scenario, algorithm, args, **caps):
-    """One run — distributed/parallel per the worker flags, else sequential."""
+    """One run — multi-process with ``--workers``, else sequential."""
     trace = TraceEmitter() if getattr(args, "trace_out", None) else None
     caps.update(_checkpoint_overrides(args))
     caps.update(_medium_overrides(args))
@@ -143,29 +143,16 @@ def _run_report(scenario, algorithm, args, **caps):
         caps["symmetry"] = True
     if getattr(args, "por", False):
         caps["por"] = True
-    if getattr(args, "distributed", False):
+    if args.workers is not None:
         from .core.distributed import DistributedRunner
 
         report = DistributedRunner(
             scenario,
             algorithm,
-            workers=args.workers if args.workers is not None else 4,
-            partition_depth=getattr(args, "partition_depth", None),
-            steal=getattr(args, "steal", True),
-            trace=trace,
-            max_retries=getattr(args, "max_retries", None),
-            allow_partial=getattr(args, "allow_partial", None),
-            task_timeout_seconds=getattr(args, "task_timeout", None),
-            **caps,
-        ).run()
-    elif args.workers is not None:
-        from .core.parallel import ParallelRunner
-
-        report = ParallelRunner(
-            scenario,
-            algorithm,
             workers=args.workers,
             split_ms=args.split_ms,
+            partition_depth=getattr(args, "partition_depth", None),
+            steal=getattr(args, "steal", True),
             trace=trace,
             max_retries=getattr(args, "max_retries", None),
             allow_partial=getattr(args, "allow_partial", None),
@@ -227,7 +214,6 @@ def _cmd_run(args) -> int:
         )
         if report.retries:
             print(f"worker-retries={report.retries}")
-    if hasattr(report, "partition_depth"):
         print(
             f"distributed: depth={report.partition_depth}"
             f" jobs={report.jobs_dispatched}"
@@ -365,6 +351,26 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _add_workers(parser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="cut the run into partition jobs and run them on N worker"
+        " processes (default cut: adaptive — deepen until the sharing"
+        " graph fractures)",
+    )
+
+
+def _add_split_ms(parser) -> None:
+    parser.add_argument(
+        "--split-ms",
+        type=int,
+        default=None,
+        help="virtual-time cut for --workers, in ms",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full ``repro`` argument parser.
 
@@ -402,38 +408,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the metrics snapshot as JSON",
     )
-    run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="run independent dstate partitions on N worker processes",
-    )
-    run_parser.add_argument(
-        "--split-ms",
-        type=int,
-        default=None,
-        help="virtual-time split point for --workers (default: 30%% of horizon)",
-    )
-    run_parser.add_argument(
-        "--distributed",
-        action="store_true",
-        default=False,
-        help="split one exploration tree by test depth across a worker pool"
-        " (work-stealing coordinator; --workers sets the pool size,"
-        " default 4)",
-    )
-    run_parser.add_argument(
+    _add_workers(run_parser)
+    cut = run_parser.add_mutually_exclusive_group()
+    _add_split_ms(cut)
+    cut.add_argument(
         "--partition-depth",
         type=int,
         default=None,
-        help="explicit frontier cut for --distributed, in executed events"
-        " (default: adaptive — deepen until the sharing graph fractures)",
+        help="event-depth cut for --workers, in executed events",
     )
     run_parser.add_argument(
         "--steal",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="work-stealing for --distributed (--no-steal disables)",
+        help="work-stealing between --workers (--no-steal disables)",
     )
     run_parser.add_argument(
         "--checkpoint-out",
@@ -550,18 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("--sim-seconds", type=int, default=10)
     compare_parser.add_argument("--max-states", type=int, default=None)
     compare_parser.add_argument("--max-wall-seconds", type=float, default=None)
-    compare_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="run independent dstate partitions on N worker processes",
-    )
-    compare_parser.add_argument(
-        "--split-ms",
-        type=int,
-        default=None,
-        help="virtual-time split point for --workers (default: 30%% of horizon)",
-    )
+    _add_workers(compare_parser)
+    _add_split_ms(compare_parser)
     compare_parser.set_defaults(handler=_cmd_compare)
 
     table1_parser = sub.add_parser("table1", help="regenerate Table I")

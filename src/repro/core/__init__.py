@@ -9,7 +9,7 @@
 - :mod:`repro.core.testcase` — concrete test-case generation
 - :mod:`repro.core.complexity` — Section III-E's analytic bounds
 - :mod:`repro.core.partition` — partition analysis (independent dstate sets)
-- :mod:`repro.core.parallel` — multi-process execution of those partitions
+- :mod:`repro.core.distributed` — multi-process execution of those partitions
 - :mod:`repro.core.scenario` — the public Scenario/run API
 """
 
@@ -37,10 +37,6 @@ from .optimize import (  # noqa: F401
     MergeGroup,
     OptimizationReport,
     analyze_equal_packets,
-)
-from .parallel import (  # noqa: F401
-    ParallelReport,
-    ParallelRunner,
 )
 from .partition import (  # noqa: F401
     Partition,

@@ -1,64 +1,84 @@
-"""Distributed SDE: test-depth partitioning of one exploration tree.
+"""Multi-process SDE: cut one run into self-contained jobs, run them on a pool.
 
-:mod:`repro.core.parallel` parallelizes *independent dstate components*,
-which leaves the common flood/dissemination case — one big connected
-component — on a single worker.  This module implements the missing
-strategy from "Distributed Symbolic Execution using Test-Depth
-Partitioning" (PAPERS.md): split a single exploration tree **by depth**
-into self-contained jobs and keep the pool busy with work-stealing.
+The paper names this as the key next step (Section VI): "we have to
+identify the sets of states which can be safely offloaded on other cores
+and thus can be independently executed."  :mod:`repro.core.partition`
+identifies those sets — connected components of the dstate/state sharing
+graph; this module executes them on worker processes, following
+"Distributed Symbolic Execution using Test-Depth Partitioning"
+(PAPERS.md): run the engine sequentially to a **cut**, ship every live
+partition as a self-contained job, and keep the pool busy with
+work-stealing.
 
-Why depth and not an arbitrary graph cut: splitting a connected SDS
-component at one instant is unsound — ``needs_fork`` decisions depend on
-virtual states in *other* dstates of the component, so executing the
-halves separately changes fork decisions and the trace.  But components
-naturally **fracture** as execution deepens (states diverge, sharing
-dissolves).  So the partitioner advances the engine in event slices and
-cuts at the first frontier depth where the sharing graph has fractured
-into enough components:
+Where to cut is the one choice :class:`DistributedRunner` offers:
 
-1. :func:`deepen_until_partitioned` runs ``probe_events``-sized slices,
-   recomputing :func:`~repro.core.partition.partition_groups` after each,
-   until there are at least ``min_partitions`` components with runnable
-   states (or an explicit ``partition_depth`` is reached, or the run
-   completes first — the degenerate sequential case).
-2. Every cut lands on an **event boundary**: all states are quiescent,
-   ``scheduler_snapshot`` is exact, and each job is a pickled
-   :class:`~repro.core.parallel.WorkerTask` — an engine checkpoint
-   (mapper payload + scheduler order + id watermarks) with the run's
-   :meth:`EngineConfig.worker_variant` and a :class:`PathPrefix` summary
-   of the path constraints delimiting the subtree.  The constraints
-   themselves travel inside the snapshot (each shipped state carries its
-   ``ConstraintSet``), which is what makes the job self-contained.
-3. :class:`DistributedRunner` hands the jobs to a coordinator over a
-   pluggable :class:`Transport` (an in-process ``multiprocessing`` pool
-   now; a socket/queue backend only needs to move the same opaque
-   messages).  Stragglers are rebalanced by **work-stealing**: an idle
-   pool prompts a busy worker to re-partition its remaining frontier at
-   its next event boundary and hand half back as fresh jobs.
+- a **virtual-time cut** (``split_ms``) runs until that virtual time, by
+  which the scenario's communication structure has formed — the right cut
+  for topologies like the paper's grid, whose components are independent
+  from early on;
+- an **event-depth cut** (``partition_depth``) stops after that many
+  executed events;
+- the default, **adaptive** cut deepens in event slices until the sharing
+  graph has fractured.  Splitting a connected SDS component at one instant
+  is unsound — ``needs_fork`` decisions depend on virtual states in
+  *other* dstates of the component — but components naturally fracture as
+  execution deepens (states diverge, sharing dissolves), so
+  :func:`deepen_until_partitioned` recomputes
+  :func:`~repro.core.partition.partition_groups` after each slice and cuts
+  at the first frontier with enough balanced components (or when the run
+  completes first — the degenerate sequential case).
+
+After the cut the pipeline is the same for all three:
+
+1. :func:`~repro.core.partition.lpt_assign` bundles the partitions onto
+   the workers, and :func:`snapshot_assignment_tasks` turns each bundle
+   into a pickled :class:`WorkerTask` — an engine checkpoint (mapper
+   payload + scheduler order + id watermarks) with the run's
+   :meth:`EngineConfig.worker_variant` — plus a :class:`PathPrefix`
+   summary of the path constraints delimiting the subtree.  Every cut
+   lands on an event boundary, so all states are quiescent and the
+   scheduler snapshot is exact; the constraints travel inside the
+   snapshot (each shipped state carries its ``ConstraintSet``), which is
+   what makes a job self-contained.
+2. A coordinator hands the jobs to workers over a pluggable
+   :class:`Transport` (a ``multiprocessing`` pool, or the in-process
+   :class:`InlineTransport` for one worker).  With ``steal`` on,
+   stragglers are rebalanced by **work-stealing**: an idle pool prompts a
+   busy worker to re-partition its remaining frontier at its next event
+   boundary and hand half back as fresh jobs.  With ``steal`` off and a
+   time cut, this is the plain split/partition/ship/merge pipeline.
+3. The per-job results merge into one :class:`DistributedReport`.
 
 Why the merged report is pinned identical to the sequential run: a cut
-ships every live state to exactly one job, and a steal is just another
-cut — the donor's partial slice is reported with *flow* counters only
-(events, instructions, solver queries, stats, trace events) while all
-*stock* totals (states, census, groups, errors, memory) come from the
-terminal jobs, whose states are exactly the sequential run's.  So the
-:class:`~repro.core.parallel.ParallelReport` merge argument applies
-recursively, independent of worker count and steal timing.  State ids
-remain volatile (as in parallel runs); semantic trace comparison is by
-canonical multiset, which ignores them.
+ships every live state to exactly one job, transmissions only ever map
+within the sender's dstates, and each state executes the identical event
+sequence no matter which process hosts it (the scheduler snapshot
+preserves the sequential pop order, and solver verdicts are
+solver-instance independent).  A steal is just another cut — the donor's
+partial slice is reported with *flow* counters only (events,
+instructions, solver queries, stats, trace events) while all *stock*
+totals (states, census, groups, errors, memory) come from the terminal
+jobs, whose states are exactly the sequential run's.  So state counts,
+the census, error states, group counts, mapping stats and solver query
+totals sum to the sequential run's values for any worker count and any
+steal timing; only cache hit/miss ratios shift with the partitioning.
+State ids remain volatile; semantic trace comparison is by canonical
+multiset, which ignores them.
 
-Failures reuse the typed-failure machinery from
+Failures use the typed-failure vocabulary of
 :mod:`repro.core.resilience`: dead workers are detected by liveness
-scans, jobs are retried with the same deterministic backoff policy, the
-final crash/exception attempt runs inline, and ``SDE_CHAOS_KILL_WORKER``
-kills every job's first subprocess attempt.  A donor that dies *after* a
-steal reply costs nothing extra — the reply carries the kept half as a
-fresh payload, so the retry resumes from the split, and a donor that
-dies *before* replying simply retries the original job.
+scans (keeping their exit code), jobs are retried with the deterministic
+backoff policy, the final crash/exception attempt runs inline, and
+``SDE_CHAOS_KILL_WORKER`` kills job attempts in their subprocess.  A donor
+that dies *after* a steal reply costs nothing extra — the reply carries
+the kept half as a fresh payload, so the retry resumes from the split —
+and a donor that dies *before* replying simply retries the original job.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import os
 import pickle
 import queue as queue_module
@@ -67,15 +87,12 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..net.packet import ensure_packet_ids_above, packet_id_watermark
 from ..obs.events import TraceEmitter
+from ..obs.metrics import Histogram, report_snapshot
+from ..obs.profile import merge_phase_snapshots
+from ..vm.state import ensure_state_ids_above, state_id_watermark
 from .engine import RunReport, SDEEngine
-from .parallel import (
-    ParallelReport,
-    WorkerResult,
-    WorkerTask,
-    restore_worker_engine,
-    snapshot_assignment_tasks,
-)
 from .partition import (
     Partition,
     lpt_assign,
@@ -87,9 +104,10 @@ from .resilience import (
     RetryPolicy,
     WorkerFailure,
     chaos_kill_requested,
+    failure_from_exception,
     raise_worker_failure,
 )
-from .stats import PROGRAM_IMAGE_COST_PER_INSTRUCTION
+from .stats import PROGRAM_IMAGE_COST_PER_INSTRUCTION, Sample, process_rss_bytes
 
 __all__ = [
     "DistributedReport",
@@ -98,7 +116,11 @@ __all__ = [
     "MultiprocessTransport",
     "PathPrefix",
     "Transport",
+    "WorkerResult",
+    "WorkerTask",
     "deepen_until_partitioned",
+    "restore_worker_engine",
+    "snapshot_assignment_tasks",
 ]
 
 #: Events between a worker's steal-request polls.  Each poll is one
@@ -117,6 +139,197 @@ DEFAULT_PROBE_LIMIT_EVENTS = 4096
 #: Seconds a worker that answered "nothing to steal" is left alone before
 #: the coordinator asks again (its component may fracture later).
 STEAL_RETRY_COOLDOWN_SECONDS = 0.5
+
+
+class WorkerTask:
+    """Everything one worker needs to resume its partitions — picklable.
+
+    All engine value-options travel as one :class:`EngineConfig`
+    (already stripped to its worker variant: no checkpointing, no
+    invariant re-checks); the remaining slots are the execution frontier.
+    """
+
+    __slots__ = (
+        "index",
+        "algorithm",
+        "program",
+        "topology",
+        "config",
+        "mapper_payload",
+        "scheduler_entries",
+        "clock_now",
+        "state_watermark",
+        "packet_watermark",
+        "broadcast_watermark",
+        "trace",
+    )
+
+    def __init__(self, **fields) -> None:
+        for slot in self.__slots__:
+            setattr(self, slot, fields.pop(slot))
+        if fields:
+            raise TypeError(f"unknown WorkerTask fields {sorted(fields)}")
+
+    def __getstate__(self):
+        return {slot: getattr(self, slot) for slot in self.__slots__}
+
+    def __setstate__(self, state):
+        for slot, value in state.items():
+            setattr(self, slot, value)
+
+
+class WorkerResult:
+    """One worker's contribution to the merged report — picklable."""
+
+    __slots__ = (
+        "index",
+        "runtime_seconds",
+        "virtual_ms",
+        "events_executed",
+        "instructions",
+        "total_states",
+        "active_states",
+        "error_states",
+        "group_count",
+        "mapping_stats",
+        "solver_queries",
+        "accounted_bytes",
+        "census",
+        "aborted",
+        "abort_reason",
+        "cache_stats",
+        "solver_stats",
+        "net_stats",
+        "reduce_stats",
+        "phases",
+        "histograms",
+        "events",
+    )
+
+    def __init__(
+        self,
+        task: WorkerTask,
+        report: RunReport,
+        census: Dict[int, int],
+        events: Optional[List[dict]] = None,
+    ):
+        self.index = task.index
+        self.runtime_seconds = report.runtime_seconds
+        self.virtual_ms = report.virtual_ms
+        self.events_executed = report.events_executed
+        self.instructions = report.instructions
+        self.total_states = report.total_states
+        self.active_states = report.active_states
+        self.error_states = list(report.error_states)
+        self.group_count = report.group_count
+        self.mapping_stats = dict(report.mapping_stats)
+        self.solver_queries = report.solver_queries
+        self.accounted_bytes = report.accounted_bytes
+        self.census = dict(census)
+        self.aborted = report.aborted
+        self.abort_reason = report.abort_reason
+        self.cache_stats = report.cache_stats
+        self.solver_stats = dict(report.solver_stats)
+        self.net_stats = dict(report.net_stats)
+        self.reduce_stats = dict(getattr(report, "reduce_stats", {}) or {})
+        self.phases = dict(report.phases)
+        self.histograms = dict(report.histograms)
+        self.events = list(events or [])
+
+    def __getstate__(self):
+        return {slot: getattr(self, slot) for slot in self.__slots__}
+
+    def __setstate__(self, state):
+        for slot, value in state.items():
+            setattr(self, slot, value)
+
+
+def restore_worker_engine(task: WorkerTask) -> SDEEngine:
+    """Build a fresh engine hosting the task's partitions, mid-run.
+
+    The engine gets its own solver and a fresh mapper of the run's
+    algorithm; the mapper payload re-installs the shipped dstates and the
+    scheduler is re-seeded with the captured ``(time, sid)`` entries in
+    their sequential pop order.  Id counters are advanced past the parent
+    run's watermarks so locally created states/packets never collide with
+    shipped ones.
+    """
+    from .scenario import make_mapper
+
+    mapper = make_mapper(task.algorithm)
+    engine = SDEEngine(
+        task.program,
+        task.topology,
+        mapper,
+        task.config,
+        trace=TraceEmitter(worker=task.index) if task.trace else None,
+    )
+    engine._started = True  # resuming: the boot states already exist
+    mapper.restore_groups(task.mapper_payload)
+    for group in mapper.groups():
+        for states in group.values():
+            for state in states:
+                engine.states[state.sid] = state
+    engine.clock.advance_to(task.clock_now)
+    for event_time, sid in task.scheduler_entries:
+        engine.scheduler.push(event_time, sid)
+    ensure_state_ids_above(task.state_watermark)
+    ensure_packet_ids_above(task.packet_watermark)
+    engine._broadcast_ids = itertools.count(task.broadcast_watermark + 1)
+    return engine
+
+
+def snapshot_assignment_tasks(
+    engine: SDEEngine, assignment: Sequence[Sequence[Partition]], trace: bool
+) -> Tuple[List[WorkerTask], Dict[int, Tuple[Tuple[int, ...], int]]]:
+    """Build one :class:`WorkerTask` per non-empty partition bundle.
+
+    The shared snapshot step of every cut: capture the scheduler order and
+    id watermarks once, then ship each bundle its mapper payload and the
+    scheduler entries of its own states.  Used both for the runner's
+    initial cut and for a donor's steal split (which is just another cut,
+    taken mid-run inside a worker).  Returns ``(tasks, task_meta)`` where
+    ``task_meta`` maps task index to ``(group_indices, state_count)`` for
+    failure records.
+    """
+    scheduler_entries = engine.scheduler_snapshot()
+    state_watermark = state_id_watermark()
+    packet_watermark = packet_id_watermark()
+    broadcast_watermark = next(engine._broadcast_ids)
+
+    tasks: List[WorkerTask] = []
+    task_meta: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+    for index, bundle in enumerate(assignment):
+        if not bundle:
+            continue  # fewer partitions than workers
+        group_indices = [
+            group_index
+            for partition in bundle
+            for group_index in partition.group_indices
+        ]
+        sids = set()
+        for partition in bundle:
+            sids.update(partition.state_sids)
+        task_meta[index] = (tuple(group_indices), len(sids))
+        tasks.append(
+            WorkerTask(
+                index=index,
+                algorithm=engine.mapper.name,
+                program=engine.program,
+                topology=engine.topology,
+                config=engine.config.worker_variant(),
+                mapper_payload=engine.mapper.snapshot_groups(group_indices),
+                scheduler_entries=[
+                    entry for entry in scheduler_entries if entry[1] in sids
+                ],
+                clock_now=engine.clock.now,
+                state_watermark=state_watermark,
+                packet_watermark=packet_watermark,
+                broadcast_watermark=broadcast_watermark,
+                trace=trace,
+            )
+        )
+    return tasks, task_meta
 
 
 class PathPrefix:
@@ -274,8 +487,12 @@ class Transport(ABC):
         """Whether ``worker`` can still make progress."""
 
     @abstractmethod
-    def restart(self, worker: int) -> None:
-        """Replace ``worker`` with a fresh one (dropping queued input)."""
+    def restart(self, worker: int) -> Optional[int]:
+        """Replace ``worker`` with a fresh one (dropping queued input).
+
+        Returns the replaced worker's exit code when the backend has one
+        (a killed subprocess), else ``None``.
+        """
 
     @abstractmethod
     def stop(self) -> None:
@@ -439,21 +656,8 @@ def _job_worker_main(
                 steal_check_events,
             )
         except BaseException as exc:
-            import traceback
-
             outbox.put(
-                (
-                    "fail",
-                    worker_index,
-                    job_id,
-                    WorkerFailure(
-                        task_index=job_id,
-                        kind="exception",
-                        message=str(exc),
-                        exc_type=type(exc).__name__,
-                        traceback=traceback.format_exc(),
-                    ),
-                )
+                ("fail", worker_index, job_id, failure_from_exception(exc, job_id))
             )
 
 
@@ -517,16 +721,19 @@ class MultiprocessTransport(Transport):
         process = self._processes.get(worker)
         return process is not None and process.is_alive()
 
-    def restart(self, worker: int) -> None:
+    def restart(self, worker: int) -> Optional[int]:
+        exitcode = None
         process = self._processes.pop(worker, None)
         if process is not None:
             if process.is_alive():
                 process.terminate()
             process.join()
+            exitcode = process.exitcode
         old_inbox = self._inboxes.pop(worker, None)
         if old_inbox is not None:
             old_inbox.close()
         self._spawn(worker)
+        return exitcode
 
     def stop(self) -> None:
         for worker, process in list(self._processes.items()):
@@ -574,21 +781,8 @@ class InlineTransport(Transport):
         try:
             _execute_job(0, job_id, payload, self._replies.append, None, 1)
         except BaseException as exc:
-            import traceback
-
             self._replies.append(
-                (
-                    "fail",
-                    0,
-                    job_id,
-                    WorkerFailure(
-                        task_index=job_id,
-                        kind="exception",
-                        message=str(exc),
-                        exc_type=type(exc).__name__,
-                        traceback=traceback.format_exc(),
-                    ),
-                )
+                ("fail", 0, job_id, failure_from_exception(exc, job_id))
             )
 
     def recv(self, timeout: float) -> Optional[tuple]:
@@ -600,7 +794,7 @@ class InlineTransport(Transport):
         return True
 
     def restart(self, worker: int) -> None:  # pragma: no cover - never dies
-        pass
+        return None
 
     def stop(self) -> None:
         self._replies.clear()
@@ -636,11 +830,14 @@ class StealStats:
 class _Coordinator:
     """Drives jobs over a transport: dispatch, steal, supervise, retry.
 
-    Failure semantics mirror :class:`~repro.core.resilience.WorkerSupervisor`:
-    typed :class:`WorkerFailure` records, deterministic seeded backoff, an
-    in-process final attempt for crash/exception failures (timeouts keep
-    retrying in a subprocess), and ``allow_partial`` degrading exhausted
-    jobs to report entries instead of raising.
+    The run's only worker supervisor: typed :class:`WorkerFailure`
+    records, deterministic seeded backoff, an in-process final attempt for
+    crash/exception failures (timeouts keep retrying in a subprocess), and
+    ``allow_partial`` degrading exhausted jobs to report entries instead
+    of raising.  Completed jobs survive another job's failure.
+    ``group_indices`` maps the initial cut's job ids to the mapper groups
+    they carry, so a failure record names enough to rerun the job; jobs
+    split off by a steal carry their state count only.
     """
 
     def __init__(
@@ -652,11 +849,13 @@ class _Coordinator:
         run_inline,
         trace: Optional[TraceEmitter] = None,
         sleep=_time.sleep,
+        group_indices: Optional[Dict[int, Tuple[int, ...]]] = None,
     ) -> None:
         self.transport = transport
         self.policy = policy
         self.steal_enabled = steal and transport.worker_count > 1
         self.run_inline = run_inline
+        self.group_indices = dict(group_indices or {})
         self.trace = trace
         self.sleep = sleep
 
@@ -813,54 +1012,45 @@ class _Coordinator:
         for worker, running in list(self._busy.items()):
             if not self.transport.alive(worker):
                 # A flushed result may still be queued; prefer it over a
-                # crash record (mirrors WorkerSupervisor's last drain).
+                # crash record.
                 message = self.transport.recv(self.policy.poll_interval_seconds)
                 if message is not None:
                     self._handle(message, idle)
                     return
                 self._busy.pop(worker, None)
                 self._steal_pending.discard(worker)
-                self.transport.restart(worker)
+                exitcode = self.transport.restart(worker)
                 idle.add(worker)
                 self._job_failed(
                     running.job_id,
-                    self._make_failure(
-                        running.job_id,
-                        "crash",
-                        "worker process died without reporting a result",
+                    WorkerFailure(
+                        task_index=running.job_id,
+                        kind="crash",
+                        message="worker process died without reporting a"
+                        f" result (exitcode {exitcode})",
+                        exitcode=exitcode,
                     ),
                 )
             elif running.deadline is not None and now > running.deadline:
                 self._busy.pop(worker, None)
                 self._steal_pending.discard(worker)
-                self.transport.restart(worker)
+                exitcode = self.transport.restart(worker)
                 idle.add(worker)
                 self._job_failed(
                     running.job_id,
-                    self._make_failure(
-                        running.job_id,
-                        "timeout",
-                        "job exceeded its wall-clock budget of"
+                    WorkerFailure(
+                        task_index=running.job_id,
+                        kind="timeout",
+                        message="job exceeded its wall-clock budget of"
                         f" {self.policy.task_timeout_seconds}s",
+                        exitcode=exitcode,
                     ),
                 )
-
-    def _make_failure(self, job_id: int, kind: str, message: str):
-        prefix = self.prefixes.get(job_id)
-        return WorkerFailure(
-            task_index=job_id,
-            kind=kind,
-            message=message,
-            state_count=prefix.states if prefix is not None else 0,
-        )
 
     def _job_failed(self, job_id: int, failure: WorkerFailure) -> None:
         self.attempts[job_id] = self.attempts.get(job_id, 0) + 1
         failure.attempts = self.attempts[job_id]
-        if not failure.state_count:
-            prefix = self.prefixes.get(job_id)
-            if prefix is not None:
-                failure.state_count = prefix.states
+        self._describe_job(job_id, failure)
         if self.trace is not None:
             self.trace.emit(
                 "worker.crash",
@@ -887,17 +1077,23 @@ class _Coordinator:
         else:
             self.pending.append(job_id)
 
+    def _describe_job(self, job_id: int, failure: WorkerFailure) -> None:
+        """Attach what is known about the job's subtree to ``failure``."""
+        prefix = self.prefixes.get(job_id)
+        if not failure.state_count and prefix is not None:
+            failure.state_count = prefix.states
+        if not failure.group_indices:
+            failure.group_indices = self.group_indices.get(job_id, ())
+
     def _run_final_inline(self, job_id: int) -> None:
         try:
             result = self.run_inline(job_id, self.payloads[job_id])
         except BaseException as exc:  # noqa: BLE001 - classified below
-            import traceback as traceback_module
-
             self.attempts[job_id] += 1
-            failure = self._make_failure(job_id, "exception", str(exc))
-            failure.exc_type = type(exc).__name__
-            failure.traceback = traceback_module.format_exc()
-            failure.attempts = self.attempts[job_id]
+            failure = failure_from_exception(
+                exc, job_id, attempts=self.attempts[job_id]
+            )
+            self._describe_job(job_id, failure)
             self._exhaust(job_id, failure)
             return
         self._resolved.add(job_id)
@@ -928,45 +1124,216 @@ def _run_job_inline(job_id: int, payload: bytes) -> WorkerResult:
 # ---------------------------------------------------------------------------
 
 
-class DistributedReport(ParallelReport):
-    """Merged report of a distributed run.
+def _sum_dicts(parts: Sequence[Dict[str, int]]) -> Dict[str, int]:
+    merged: Dict[str, int] = {}
+    for part in parts:
+        for key, value in part.items():
+            merged[key] = merged.get(key, 0) + value
+    return merged
 
-    Reuses the :class:`~repro.core.parallel.ParallelReport` merge — the
-    semantic totals are pinned identical to the sequential run for any
-    worker count and any steal timing (see the module docstring) — and
-    adds the distributed extras: ``partition_depth`` (the frontier cut, in
-    events), ``jobs_dispatched`` and the ``steals`` counters.
+
+class DistributedReport:
+    """Merged report of a multi-process run; duck-types :class:`RunReport`.
+
+    All `RunReport` consumers (``BenchRow``, ``render_table1``,
+    ``report_to_dict``/``save_report``) work unchanged on instances of
+    this class.  The semantic totals are pinned identical to the
+    sequential run for any worker count and any steal timing (see the
+    module docstring).  The multi-process extras are ``workers``,
+    ``worker_results``, ``prefix_events``, ``split_ms`` (the time cut, or
+    ``None``), ``partition_depth`` (the cut, in executed events),
+    ``partition_count``, ``projected`` (the LPT-projected speedup),
+    ``jobs_dispatched``, the ``steals_*`` counters and the resilience
+    status (``retries``, ``failed_partitions``, ``partial``).
     """
 
     def __init__(
         self,
         *,
+        prefix: RunReport,
+        prefix_census: Dict[int, int],
+        worker_results: List[WorkerResult],
+        image_cost: int,
+        partitions: List[Partition],
+        workers: int,
+        split_ms: Optional[int],
         partition_depth: int,
         jobs_dispatched: int,
         steal_stats: StealStats,
         transport_name: str,
-        **parallel_kwargs,
+        runtime_seconds: float,
+        failed_partitions: Sequence[WorkerFailure] = (),
+        retries: int = 0,
     ) -> None:
-        # Set before super().__init__ so report_snapshot (called at the
-        # end of the merge) already sees the distributed extras.
+        merge_started = _time.perf_counter()
+        self.algorithm = prefix.algorithm
+        self.workers = workers
+        self.worker_results = list(worker_results)
+        self.prefix_events = prefix.events_executed
+        self.split_ms = split_ms
         self.partition_depth = partition_depth
+        self.partition_count = len(partitions)
+        self.projected = (projected_speedup(partitions, workers) if partitions else 1.0)
         self.jobs_dispatched = jobs_dispatched
         self.steals_requested = steal_stats.requested
         self.steals_granted = steal_stats.granted
         self.steals_denied = steal_stats.denied
         self.transport_name = transport_name
-        super().__init__(**parallel_kwargs)
+        self.runtime_seconds = runtime_seconds
+        # Resilience: jobs that exhausted their retries (only under
+        # --allow-partial; otherwise the run raised) and the retry count.
+        # A report with failed partitions is *partial*: its totals cover
+        # the prefix plus the surviving jobs only.
+        self.failed_partitions = list(failed_partitions)
+        self.retries = retries
+        self.partial = bool(self.failed_partitions)
+        self.checkpoints_written = getattr(prefix, "checkpoints_written", 0)
+        self.resumed = getattr(prefix, "resumed", False)
+
+        results = self.worker_results
+        self.aborted = prefix.aborted or any(w.aborted for w in results)
+        self.abort_reason = prefix.abort_reason or next(
+            (w.abort_reason for w in results if w.abort_reason), ""
+        )
+        if results:
+            # Every prefix state was shipped to exactly one job, so the
+            # jobs' final totals sum to the sequential run's totals.
+            self.virtual_ms = max(w.virtual_ms for w in results)
+            self.total_states = sum(w.total_states for w in results)
+            self.active_states = sum(w.active_states for w in results)
+            self.group_count = sum(w.group_count for w in results)
+            self.error_states = [state for w in results for state in w.error_states]
+            # Each job's accounting re-charges the shared program image;
+            # count it once, like the sequential run does.
+            self.accounted_bytes = image_cost + sum(
+                w.accounted_bytes - image_cost for w in results
+            )
+            self.census = {node: 0 for node in prefix_census}
+            for worker in results:
+                for node, count in worker.census.items():
+                    self.census[node] = self.census.get(node, 0) + count
+        else:
+            # Degenerate: the run finished before the cut.
+            self.virtual_ms = prefix.virtual_ms
+            self.total_states = prefix.total_states
+            self.active_states = prefix.active_states
+            self.group_count = prefix.group_count
+            self.error_states = list(prefix.error_states)
+            self.accounted_bytes = prefix.accounted_bytes
+            self.census = dict(prefix_census)
+        self.events_executed = prefix.events_executed + sum(
+            w.events_executed for w in results
+        )
+        self.instructions = prefix.instructions + sum(w.instructions for w in results)
+        self.solver_queries = prefix.solver_queries + sum(
+            w.solver_queries for w in results
+        )
+        self.mapping_stats = dict(prefix.mapping_stats)
+        for worker in results:
+            for key, value in worker.mapping_stats.items():
+                self.mapping_stats[key] = self.mapping_stats.get(key, 0) + value
+
+        self.samples: List[Sample] = list(prefix.samples)
+        self.samples.append(
+            Sample(
+                wall_seconds=runtime_seconds,
+                virtual_ms=self.virtual_ms,
+                events_executed=self.events_executed,
+                live_states=self.active_states,
+                total_states=self.total_states,
+                accounted_bytes=self.accounted_bytes,
+                rss_bytes=process_rss_bytes(),
+                groups=self.group_count,
+            )
+        )
+
+        # Observability merge: stats sum exactly (same argument as the
+        # state totals above); phases/histograms merge across the prefix
+        # and every job, plus a "merge" phase for this method itself.
+        self.solver_stats = _sum_dicts(
+            [prefix.solver_stats] + [w.solver_stats for w in results]
+        )
+        self.net_stats = _sum_dicts([prefix.net_stats] + [w.net_stats for w in results])
+        self.reduce_stats = _sum_dicts(
+            [getattr(prefix, "reduce_stats", {}) or {}]
+            + [getattr(w, "reduce_stats", {}) or {} for w in results]
+        )
+        cache_parts = [
+            part
+            for part in [prefix.cache_stats] + [w.cache_stats for w in results]
+            if part is not None
+        ]
+        self.cache_stats = _sum_dicts(cache_parts) if cache_parts else None
+        histogram_names = set(prefix.histograms)
+        for worker in results:
+            histogram_names.update(worker.histograms)
+        self.histograms = {
+            name: Histogram.merge_data(
+                [prefix.histograms.get(name)]
+                + [w.histograms.get(name) for w in results]
+            )
+            for name in sorted(histogram_names)
+        }
+        merge_phase = {
+            "merge": {
+                "count": 1,
+                "seconds": _time.perf_counter() - merge_started,
+            }
+        }
+        self.phases = merge_phase_snapshots(
+            [prefix.phases] + [w.phases for w in results] + [merge_phase]
+        )
+        self.metrics = report_snapshot(self)
+
+    # -- RunReport duck-typing ------------------------------------------------
+
+    def peak_states(self) -> int:
+        return max((s.total_states for s in self.samples), default=self.total_states)
+
+    def peak_accounted_bytes(self) -> int:
+        return max((s.accounted_bytes for s in self.samples), default=0)
+
+    def state_census(self) -> Dict[int, int]:
+        return dict(self.census)
 
     def summary(self) -> str:
+        status = "ABORTED" if self.aborted else "completed"
+        cut = (
+            f"{self.split_ms} ms"
+            if self.split_ms is not None
+            else f"{self.partition_depth} events"
+        )
         lines = [
-            super().summary(),
-            f"  partition depth  : {self.partition_depth} events"
-            f" ({self.transport_name} transport)",
+            f"[{self.algorithm}] {status} after {self.runtime_seconds:.2f}s"
+            f" on {self.workers} workers"
+            + (f" ({self.abort_reason})" if self.aborted else ""),
+            f"  split point      : {cut}"
+            f" ({self.prefix_events} prefix events,"
+            f" {self.transport_name} transport)",
+            f"  partitions       : {self.partition_count}"
+            f" (projected speedup x{self.projected:.2f})",
             f"  jobs dispatched  : {self.jobs_dispatched}",
             f"  steals           : {self.steals_granted} granted"
             f" / {self.steals_denied} denied"
             f" / {self.steals_requested} requested",
+            f"  virtual time     : {self.virtual_ms} ms",
+            f"  events executed  : {self.events_executed}",
+            f"  instructions     : {self.instructions}",
+            f"  states (total)   : {self.total_states}",
+            f"  dscenarios/dstates: {self.group_count}",
+            f"  accounted memory : {self.accounted_bytes / 1e6:.2f} MB",
+            f"  error states     : {len(self.error_states)}",
+            f"  solver queries   : {self.solver_queries}",
         ]
+        if self.retries:
+            lines.append(f"  worker retries   : {self.retries}")
+        if self.partial:
+            lines.append(
+                f"  PARTIAL: {len(self.failed_partitions)} partition(s)"
+                " failed after retries"
+            )
+            for failure in self.failed_partitions:
+                lines.append(f"    - {failure.describe()}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -978,13 +1345,14 @@ class DistributedReport(ParallelReport):
 
 
 class DistributedRunner:
-    """Run one scenario with depth partitioning over a worker pool.
+    """Run one scenario: cut, ship the partitions as jobs, merge.
 
-    The pipeline: deepen the engine to the cut depth (adaptive probing by
-    default, ``partition_depth`` for an explicit cut), emit each partition
-    bundle as a self-contained job, and let the coordinator drive the jobs
-    over the transport with work-stealing and supervised retries.  With
-    ``workers=1`` (or a still-connected frontier) the run degrades to
+    The cut is a virtual time (``split_ms``), an event depth
+    (``partition_depth``), or — with neither — adaptive probing until the
+    sharing graph fractures; passing both is an error.  Each partition
+    bundle becomes a self-contained job, and the coordinator drives the
+    jobs over the transport with work-stealing (``steal``) and supervised
+    retries.  With ``workers=1`` (or a single job) the run degrades to
     supervised sequential execution over the same pickle round-trip.
     """
 
@@ -993,6 +1361,7 @@ class DistributedRunner:
         scenario,
         algorithm: str = "sds",
         workers: int = 4,
+        split_ms: Optional[int] = None,
         partition_depth: Optional[int] = None,
         min_partitions: Optional[int] = None,
         probe_events: int = DEFAULT_PROBE_EVENTS,
@@ -1010,9 +1379,12 @@ class DistributedRunner:
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
+        if split_ms is not None and partition_depth is not None:
+            raise ValueError("split_ms and partition_depth are mutually exclusive")
         self.scenario = scenario
         self.algorithm = algorithm
         self.workers = workers
+        self.split_ms = split_ms
         self.partition_depth = partition_depth
         self.min_partitions = (
             min_partitions if min_partitions is not None else 2 * workers
@@ -1032,12 +1404,22 @@ class DistributedRunner:
             replacements["allow_partial"] = allow_partial
         if task_timeout_seconds is not None:
             replacements["task_timeout_seconds"] = task_timeout_seconds
-        if replacements:
-            import dataclasses
-
-            policy = dataclasses.replace(policy, **replacements)
-        self.retry_policy = policy
+        self.retry_policy = dataclasses.replace(policy, **replacements)
         self.engine_overrides = engine_overrides
+
+    def _cut(self, engine: SDEEngine) -> List[Partition]:
+        """Advance ``engine`` to the cut; returns its partitions."""
+        if self.split_ms is not None or self.partition_depth is not None:
+            engine.run_until(split_ms=self.split_ms, split_events=self.partition_depth)
+            return partition_groups(engine.mapper)
+        return deepen_until_partitioned(
+            engine,
+            min_partitions=self.min_partitions,
+            probe_events=self.probe_events,
+            probe_limit_events=self.probe_limit_events,
+            balance_workers=self.workers,
+            trace=self.trace,
+        )
 
     def run(self) -> DistributedReport:
         from .scenario import build_engine
@@ -1049,31 +1431,20 @@ class DistributedRunner:
             trace=self.trace,
             **self.engine_overrides,
         )
-        if self.partition_depth is not None:
-            engine.run_until(split_events=self.partition_depth)
-            partitions = partition_groups(engine.mapper)
-        else:
-            partitions = deepen_until_partitioned(
-                engine,
-                min_partitions=self.min_partitions,
-                probe_events=self.probe_events,
-                probe_limit_events=self.probe_limit_events,
-                balance_workers=self.workers,
-                trace=self.trace,
-            )
+        partitions = self._cut(engine)
         engine._sample_and_check_caps(force=True)
         prefix = RunReport(engine)
         prefix_census = engine.state_census()
-        depth = engine.events_executed
 
         jobs: List[Tuple[bytes, PathPrefix]] = []
+        task_meta: Dict[int, Tuple[Tuple[int, ...], int]] = {}
         if not engine.aborted and engine.scheduler_snapshot():
             assignment = [
                 bundle
                 for bundle in lpt_assign(partitions, self.workers)
                 if bundle
             ]
-            tasks, _ = snapshot_assignment_tasks(
+            tasks, task_meta = snapshot_assignment_tasks(
                 engine, assignment, trace=self.trace is not None
             )
             jobs = [
@@ -1099,6 +1470,7 @@ class DistributedRunner:
                     start_method=self.start_method,
                     steal_check_events=self.steal_check_events,
                 )
+        # Initial jobs are numbered in assignment order, as are the tasks.
         coordinator = _Coordinator(
             transport,
             jobs,
@@ -1106,6 +1478,9 @@ class DistributedRunner:
             steal=self.steal,
             run_inline=_run_job_inline,
             trace=self.trace,
+            group_indices={
+                index: groups for index, (groups, _) in task_meta.items()
+            },
         )
         coordinator.run()
         results = sorted(coordinator.results, key=lambda w: (w.index, -w.total_states))
@@ -1114,10 +1489,6 @@ class DistributedRunner:
                 self.trace.extend(worker.events)
             self.trace.emit("worker.merge", workers=len(results))
         return DistributedReport(
-            partition_depth=depth,
-            jobs_dispatched=coordinator.jobs_dispatched,
-            steal_stats=coordinator.steal_stats,
-            transport_name=type(transport).__name__,
             prefix=prefix,
             prefix_census=prefix_census,
             worker_results=results,
@@ -1126,8 +1497,11 @@ class DistributedRunner:
             ),
             partitions=partitions,
             workers=self.workers,
-            split_ms=None,
-            split_events=depth,
+            split_ms=self.split_ms,
+            partition_depth=prefix.events_executed,
+            jobs_dispatched=coordinator.jobs_dispatched,
+            steal_stats=coordinator.steal_stats,
+            transport_name=type(transport).__name__,
             runtime_seconds=_time.perf_counter() - started,
             failed_partitions=coordinator.failed,
             retries=coordinator.retries,

@@ -465,7 +465,7 @@ class SDEEngine:
 
         Safe between events: every state is quiescent and the scheduler
         snapshot preserves the sequential pop order, the same property the
-        parallel runner's split point relies on.
+        distributed runner's cut relies on.
         """
         from .resilience import save_checkpoint
 

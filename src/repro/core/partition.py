@@ -117,7 +117,7 @@ def lpt_assign(partitions: List[Partition], cores: int) -> List[List[Partition]]
     proportionally many events).  Longest-Processing-Time-first is the
     classic 4/3-approximation.  Returns the actual per-core assignment —
     ``result[c]`` lists the partitions core ``c`` executes — which is what
-    :class:`repro.core.parallel.ParallelRunner` ships to worker processes.
+    :class:`repro.core.distributed.DistributedRunner` ships as jobs.
     The assignment is deterministic: ties in both partition weight and core
     load break by original partition order / lowest core index.
     """

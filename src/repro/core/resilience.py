@@ -1,22 +1,23 @@
-"""Fault tolerance for SDE runs: supervision, retry, checkpoint/resume.
+"""Fault tolerance for SDE runs: failure records, retry, checkpoint/resume.
 
 The paper's headline experiments run for hours (Table I's COB run went
 9h39m before aborting at the memory cap).  At that scale three failure
-modes dominate, and this module answers each:
+modes dominate; this module holds the shared vocabulary for each:
 
 1. **Worker loss** — a partition worker OOM-killed or SIGKILL'd dies
-   without enqueueing a result.  :class:`WorkerSupervisor` replaces the
-   parallel runner's blocking queue drain with a bounded poll that
-   detects dead processes (``Process.is_alive()`` + exitcode), enforces a
-   per-partition wall-clock budget, and classifies every failure in a
-   typed :class:`WorkerFailure` that preserves the original traceback.
-2. **Transient failures** — failed partitions are requeued with
-   deterministic seeded exponential backoff (:class:`RetryPolicy`; no
-   wall-clock reads feed any retry *decision*), and the final attempt for
-   crash/exception failures runs in-process, which is immune to process
-   loss.  With ``allow_partial`` the run degrades gracefully: exhausted
-   partitions are reported (with enough information to rerun them)
-   instead of aborting the whole run.
+   without reporting a result.  The coordinator of
+   :mod:`repro.core.distributed` detects the death with a bounded poll
+   plus a liveness scan, enforces a per-job wall-clock budget, and
+   classifies every failure in a typed :class:`WorkerFailure` that
+   preserves the exit code or the original traceback
+   (:func:`failure_from_exception`).
+2. **Transient failures** — failed jobs are requeued with deterministic
+   seeded exponential backoff (:class:`RetryPolicy`; no wall-clock reads
+   feed any retry *decision*), and the final attempt for crash/exception
+   failures runs in-process, which is immune to process loss.  With
+   ``allow_partial`` the run degrades gracefully: exhausted jobs are
+   reported (with enough information to rerun them) instead of aborting
+   the whole run.
 3. **Run loss** — :func:`save_checkpoint` serializes a mid-run engine
    (mapper payload, scheduler entries, id watermarks, counters, metrics
    baselines, trace position) to disk atomically with a versioned header
@@ -25,9 +26,9 @@ modes dominate, and this module answers each:
    every deterministic field.
 
 The checkpoint payload deliberately reuses the picklable snapshot
-machinery built for parallel execution (``snapshot_groups`` /
+machinery built for multi-process execution (``snapshot_groups`` /
 ``restore_groups``, scheduler snapshots, id watermarks): a checkpoint is
-morally a :class:`~repro.core.parallel.WorkerTask` covering *all*
+morally a :class:`~repro.core.distributed.WorkerTask` covering *all*
 partitions, plus the counter baselines a worker does not need because the
 merge re-adds them.
 """
@@ -39,11 +40,10 @@ import itertools
 import json
 import os
 import pickle
-import queue as queue_module
 import random
-import time as _time
+import traceback as traceback_module
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..obs.fileio import atomic_write_bytes
 
@@ -53,10 +53,10 @@ __all__ = [
     "CheckpointError",
     "RetryPolicy",
     "WorkerFailure",
-    "WorkerSupervisor",
     "WorkerTaskError",
     "chaos_kill_probability",
     "chaos_kill_requested",
+    "failure_from_exception",
     "load_checkpoint",
     "raise_worker_failure",
     "resume_engine",
@@ -151,6 +151,27 @@ class WorkerFailure:
             f"WorkerFailure(task={self.task_index}, kind={self.kind},"
             f" attempts={self.attempts})"
         )
+
+
+def failure_from_exception(
+    exc: BaseException, task_index: int, **fields
+) -> WorkerFailure:
+    """Classify a raised exception as an ``"exception"`` failure record.
+
+    Keeps the original exception type name and its formatted traceback,
+    so the record can cross a process boundary as plain data; ``fields``
+    fill the remaining :class:`WorkerFailure` slots.
+    """
+    return WorkerFailure(
+        task_index=task_index,
+        kind="exception",
+        message=str(exc),
+        exc_type=type(exc).__name__,
+        traceback="".join(
+            traceback_module.format_exception(type(exc), exc, exc.__traceback__)
+        ),
+        **fields,
+    )
 
 
 class WorkerTaskError(RuntimeError):
@@ -269,239 +290,6 @@ class RetryPolicy:
         base = self.backoff_base_seconds * (self.backoff_factor ** (attempt - 1))
         rng = random.Random(f"{self.seed}:{task_index}:{attempt}")
         return base * (1.0 + self.backoff_jitter * rng.random())
-
-
-# ---------------------------------------------------------------------------
-# Worker supervision
-# ---------------------------------------------------------------------------
-
-
-class _Attempt:
-    """One in-flight subprocess attempt at a partition."""
-
-    __slots__ = ("task_index", "process", "attempt", "deadline")
-
-    def __init__(self, task_index, process, attempt, deadline) -> None:
-        self.task_index = task_index
-        self.process = process
-        self.attempt = attempt
-        self.deadline = deadline
-
-
-class WorkerSupervisor:
-    """Drives partition tasks to completion across worker failures.
-
-    Replaces the old blocking ``for _ in processes: queue.get()`` drain,
-    which deadlocked forever if any worker died without reporting and
-    threw away all completed partitions on the first worker exception.
-
-    ``payloads`` maps task index -> pickled task bytes; ``entry`` is the
-    subprocess target ``(payload, queue, attempt, task_index)``;
-    ``run_inline`` executes a payload in the current process (the final
-    fallback for crash/exception failures — immune to process loss);
-    ``task_meta`` maps task index -> ``(group_indices, state_count)`` for
-    failure records.
-    """
-
-    def __init__(
-        self,
-        payloads: Dict[int, bytes],
-        context,
-        entry: Callable,
-        run_inline: Callable[[bytes], object],
-        policy: RetryPolicy,
-        task_meta: Optional[Dict[int, Tuple[Tuple[int, ...], int]]] = None,
-        trace=None,
-        sleep: Callable[[float], None] = _time.sleep,
-    ) -> None:
-        self.payloads = dict(payloads)
-        self.context = context
-        self.entry = entry
-        self.run_inline = run_inline
-        self.policy = policy
-        self.task_meta = dict(task_meta or {})
-        self.trace = trace
-        self.sleep = sleep
-
-        self.queue = context.Queue()
-        self.results: List[object] = []
-        self.failed: List[WorkerFailure] = []
-        self.retries = 0
-        self._running: Dict[int, _Attempt] = {}
-        self._attempts: Dict[int, int] = {index: 0 for index in self.payloads}
-        self._resolved: set = set()
-
-    # -- public ------------------------------------------------------------
-
-    def run(self) -> Tuple[List[object], List[WorkerFailure], int]:
-        """Execute every task; returns (results, failed, retry count).
-
-        Raises :class:`WorkerTaskError` when a partition exhausts its
-        retries and the policy does not allow partial results.  Remaining
-        workers are terminated on the way out in that case.
-        """
-        try:
-            for index in sorted(self.payloads):
-                self._launch(index, attempt=0)
-            while len(self._resolved) < len(self.payloads):
-                if not self._drain_one(self.policy.poll_interval_seconds):
-                    self._scan_processes()
-            return self.results, self.failed, self.retries
-        finally:
-            self._shutdown()
-
-    # -- internals ----------------------------------------------------------
-
-    def _launch(self, index: int, attempt: int) -> None:
-        process = self.context.Process(
-            target=self.entry,
-            args=(self.payloads[index], self.queue, attempt, index),
-        )
-        process.start()
-        deadline = None
-        if self.policy.task_timeout_seconds is not None:
-            deadline = _time.monotonic() + self.policy.task_timeout_seconds
-        self._running[index] = _Attempt(index, process, attempt, deadline)
-
-    def _drain_one(self, timeout: float) -> bool:
-        """Handle one queued outcome; False when the queue stayed empty."""
-        try:
-            blob = self.queue.get(timeout=timeout)
-        except queue_module.Empty:
-            return False
-        outcome = pickle.loads(blob)
-        if isinstance(outcome, WorkerFailure):
-            if outcome.task_index not in self._resolved:
-                self._handle_failure(outcome.task_index, outcome)
-        else:
-            index = outcome.index
-            if index not in self._resolved:
-                self._resolved.add(index)
-                self.results.append(outcome)
-                attempt = self._running.pop(index, None)
-                if attempt is not None:
-                    attempt.process.join()
-        return True
-
-    def _scan_processes(self) -> None:
-        """Detect dead and over-budget workers (bounded, never blocking)."""
-        now = _time.monotonic()
-        for index, attempt in list(self._running.items()):
-            if index in self._resolved:
-                continue
-            process = attempt.process
-            if not process.is_alive():
-                # The feeder thread flushes before exit, so a result from
-                # this worker would already be queued; drain once more
-                # before declaring the worker lost.
-                if self._drain_one(self.policy.poll_interval_seconds):
-                    return  # re-scan next loop iteration with fresh state
-                process.join()
-                self._handle_failure(
-                    index,
-                    self._make_failure(
-                        index,
-                        "crash",
-                        f"worker process died without reporting a result"
-                        f" (exitcode {process.exitcode})",
-                        exitcode=process.exitcode,
-                    ),
-                )
-            elif attempt.deadline is not None and now > attempt.deadline:
-                process.terminate()
-                process.join()
-                self._handle_failure(
-                    index,
-                    self._make_failure(
-                        index,
-                        "timeout",
-                        f"partition exceeded its wall-clock budget of"
-                        f" {self.policy.task_timeout_seconds}s",
-                        exitcode=process.exitcode,
-                    ),
-                )
-
-    def _make_failure(self, index, kind, message, **extra) -> WorkerFailure:
-        groups, states = self.task_meta.get(index, ((), 0))
-        return WorkerFailure(
-            task_index=index,
-            kind=kind,
-            message=message,
-            group_indices=groups,
-            state_count=states,
-            **extra,
-        )
-
-    def _handle_failure(self, index: int, failure: WorkerFailure) -> None:
-        self._running.pop(index, None)
-        self._attempts[index] += 1
-        failure.attempts = self._attempts[index]
-        if not failure.group_indices and index in self.task_meta:
-            groups, states = self.task_meta[index]
-            failure.group_indices = groups
-            failure.state_count = states
-        if self.trace is not None:
-            self.trace.emit(
-                "worker.crash",
-                task=index,
-                kind=failure.kind,
-                exitcode=failure.exitcode,
-                attempt=failure.attempts,
-            )
-        if failure.attempts > self.policy.max_retries:
-            self._exhaust(index, failure)
-            return
-        self.retries += 1
-        delay = self.policy.backoff_seconds(index, failure.attempts)
-        if delay > 0:
-            self.sleep(delay)
-        if self.trace is not None:
-            self.trace.emit("worker.retry", task=index, attempt=failure.attempts)
-        final = failure.attempts == self.policy.max_retries
-        if final and failure.kind != "timeout":
-            # Last chance: run in the supervisor's own process.  This is
-            # deterministic (same pickle round-trip as workers=1) and
-            # cannot be lost to a worker death.  Timeouts keep retrying in
-            # a subprocess — an in-process attempt could not be killed.
-            self._run_final_inline(index)
-        else:
-            self._launch(index, attempt=failure.attempts)
-
-    def _run_final_inline(self, index: int) -> None:
-        try:
-            result = self.run_inline(self.payloads[index])
-        except BaseException as exc:  # noqa: BLE001 - classified below
-            import traceback as traceback_module
-
-            self._attempts[index] += 1
-            self._exhaust(
-                index,
-                self._make_failure(
-                    index,
-                    "exception",
-                    str(exc),
-                    exc_type=type(exc).__name__,
-                    traceback=traceback_module.format_exc(),
-                    attempts=self._attempts[index],
-                ),
-            )
-            return
-        self._resolved.add(index)
-        self.results.append(result)
-
-    def _exhaust(self, index: int, failure: WorkerFailure) -> None:
-        self._resolved.add(index)
-        if self.policy.allow_partial:
-            self.failed.append(failure)
-            return
-        raise_worker_failure(failure)
-
-    def _shutdown(self) -> None:
-        for attempt in self._running.values():
-            if attempt.process.is_alive():
-                attempt.process.terminate()
-            attempt.process.join()
-        self._running.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ identity check.
 
 Interning is per-process, so every node class defines ``__reduce__`` to
 rebuild through its constructor on unpickling.  A pickled expression
-shipped to a worker process (see :mod:`repro.core.parallel`) re-enters the
+shipped to a worker process (see :mod:`repro.core.distributed`) re-enters the
 worker's own interning table, keeping the identity-equality invariant sound
 across process boundaries.
 

@@ -7,8 +7,8 @@ work presumes — the part of the service where robustness lives:
   a Retry-After hint) and a per-client live-job cap, so one hot client
   cannot starve the rest or balloon memory.
 - **Supervision** — each attempt runs in a subprocess polled for results,
-  death, and deadline (the asyncio port of
-  :class:`repro.core.resilience.WorkerSupervisor`); failures become typed
+  death, and deadline (the asyncio counterpart of the coordinator in
+  :mod:`repro.core.distributed`); failures become typed
   :class:`~repro.core.resilience.WorkerFailure` records on the job.
 - **Retry** — crashed/raising attempts are retried with the deterministic
   seeded exponential backoff of :class:`~repro.core.resilience.RetryPolicy`

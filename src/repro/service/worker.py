@@ -30,10 +30,9 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import traceback
 from typing import Optional
 
-from ..core.resilience import WorkerFailure, resume_engine
+from ..core.resilience import failure_from_exception, resume_engine
 from ..core.scenario import build_engine
 from ..obs.events import TraceEmitter
 from .spec import SubmissionSpec
@@ -146,7 +145,7 @@ def execute_job(payload: dict) -> dict:
 def job_entry(payload_bytes: bytes, queue, attempt: int = 0) -> None:
     """Subprocess target: run the attempt, ship a summary or a failure.
 
-    Mirrors the parallel runner's ``_worker_entry`` contract: failures
+    Same contract as the distributed runner's pool workers: failures
     travel as typed :class:`WorkerFailure` records (exception name,
     message, full traceback), never bare pickled exceptions.
     """
@@ -167,14 +166,5 @@ def job_entry(payload_bytes: bytes, queue, attempt: int = 0) -> None:
         queue.put(pickle.dumps(execute_job(payload)))
     except BaseException as exc:  # noqa: BLE001 - classified for the parent
         queue.put(
-            pickle.dumps(
-                WorkerFailure(
-                    task_index=0,
-                    kind="exception",
-                    message=str(exc),
-                    exc_type=type(exc).__name__,
-                    traceback=traceback.format_exc(),
-                    attempts=attempt + 1,
-                )
-            )
+            pickle.dumps(failure_from_exception(exc, 0, attempts=attempt + 1))
         )

@@ -14,8 +14,8 @@ The contracts pinned here (see docs/DISTRIBUTED.md):
    past the end of the run) yields a sequential-prefix-only report.
 4. Steal grants move work atomically (partial + kept + stolen in one
    reply); a donor with fewer than two live partitions denies; stale
-   replies are dropped whole; killed workers retry through the same
-   typed-failure path as ``ParallelRunner``.
+   replies are dropped whole; killed workers retry through the typed
+   failures of :mod:`repro.core.resilience`.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from repro.core.distributed import (
     _Coordinator,
     _split_for_steal,
     deepen_until_partitioned,
-)
-from repro.core.parallel import (
     restore_worker_engine,
     snapshot_assignment_tasks,
 )
@@ -540,7 +538,7 @@ class TestChaos:
 
 
 class TestCLI:
-    def test_run_distributed_flag(self, tmp_path, capsys):
+    def test_run_workers_runs_distributed(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "report.json"
@@ -551,7 +549,6 @@ class TestCLI:
                     "flood:3",
                     "--sim-seconds",
                     "2",
-                    "--distributed",
                     "--workers",
                     "2",
                     "--json",
@@ -566,3 +563,22 @@ class TestCLI:
 
         report = json.loads(out.read_text())
         assert report["total_states"] > 0
+
+    def test_split_ms_and_partition_depth_rejected_together(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "run",
+                    "flood:3",
+                    "--workers",
+                    "2",
+                    "--split-ms",
+                    "500",
+                    "--partition-depth",
+                    "20",
+                ]
+            )
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "not allowed with argument" in capsys.readouterr().err

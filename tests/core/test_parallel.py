@@ -1,11 +1,13 @@
-"""Sequential-vs-parallel equivalence and the parallel substrate.
+"""Sequential-vs-parallel equivalence of the time cut, and its substrate.
 
-The contract of :mod:`repro.core.parallel`: the merged report of a
-parallel run is *identical* to the sequential run's — same state census,
-same error states, same dscenario/dstate count — for any worker count.
-These tests pin that down on the paper's 5x5 grid under COW and SDS,
-plus the substrate pieces (pickling interned expressions, snapshotting
-mappers, LPT assignment) in isolation.
+A :class:`~repro.core.distributed.DistributedRunner` with a virtual-time
+cut (``split_ms``) and stealing off is the plain split/partition/ship/merge
+pipeline.  Its merged report is *identical* to the sequential run's — same
+state census, same error states, same dscenario/dstate count — for any
+worker count.  These tests pin that down on the paper's 5x5 grid under
+COW and SDS, pin the heavy grid's cut to fixed numbers, and test the
+substrate pieces (pickling interned expressions, snapshotting mappers,
+LPT assignment) in isolation.
 """
 
 from __future__ import annotations
@@ -14,8 +16,17 @@ import pickle
 
 import pytest
 
-from repro.core.parallel import ParallelRunner, execute_task_bytes
-from repro.core.partition import Partition, lpt_assign, schedule_makespan
+from repro.core.distributed import (
+    DistributedRunner,
+    _run_job_inline,
+    snapshot_assignment_tasks,
+)
+from repro.core.partition import (
+    Partition,
+    lpt_assign,
+    partition_groups,
+    schedule_makespan,
+)
 from repro.core.scenario import Scenario, build_engine
 from repro.net import Topology
 from repro.workloads import grid_scenario
@@ -54,11 +65,12 @@ class TestParallelEquivalence:
         self, sequential_baseline, algorithm, workers
     ):
         report, census = sequential_baseline(algorithm)
-        parallel = ParallelRunner(
+        parallel = DistributedRunner(
             grid_scenario(5, sim_seconds=10),
             algorithm,
             workers=workers,
             split_ms=SPLIT_MS,
+            steal=False,
         ).run()
         assert parallel.total_states == report.total_states
         assert parallel.group_count == report.group_count
@@ -109,8 +121,8 @@ class TestParallelEquivalence:
         report = engine.run()
         assert report.error_states, "scenario must produce error states"
         for workers in (1, 2):
-            parallel = ParallelRunner(
-                scenario(), "sds", workers=workers, split_events=20
+            parallel = DistributedRunner(
+                scenario(), "sds", workers=workers, partition_depth=20, steal=False
             ).run()
             assert _error_signature(parallel) == _error_signature(report)
             assert parallel.total_states == report.total_states
@@ -122,19 +134,20 @@ class TestParallelEquivalence:
         factory = lambda: grid_scenario(3, sim_seconds=10)  # noqa: E731
         engine = build_engine(factory(), "cob")
         report = engine.run()
-        parallel = ParallelRunner(
-            factory(), "cob", workers=2, split_ms=SPLIT_MS
+        parallel = DistributedRunner(
+            factory(), "cob", workers=2, split_ms=SPLIT_MS, steal=False
         ).run()
         assert parallel.total_states == report.total_states
         assert parallel.group_count == report.group_count
         assert parallel.state_census() == engine.state_census()
 
     def test_run_finishing_before_split_degenerates_cleanly(self):
-        parallel = ParallelRunner(
+        parallel = DistributedRunner(
             grid_scenario(3, sim_seconds=2),
             "sds",
             workers=4,
             split_ms=10_000_000,
+            steal=False,
         ).run()
         engine = build_engine(grid_scenario(3, sim_seconds=2), "sds")
         report = engine.run()
@@ -146,8 +159,12 @@ class TestParallelEquivalence:
     def test_report_to_dict_accepts_parallel_report(self):
         from repro.core.reporting import report_to_dict
 
-        parallel = ParallelRunner(
-            grid_scenario(3, sim_seconds=4), "cow", workers=2, split_ms=1000
+        parallel = DistributedRunner(
+            grid_scenario(3, sim_seconds=4),
+            "cow",
+            workers=2,
+            split_ms=1000,
+            steal=False,
         ).run()
         data = report_to_dict(parallel)
         assert data["total_states"] == parallel.total_states
@@ -168,15 +185,55 @@ class TestParallelEquivalence:
             grid_scenario(5, sim_seconds=10), algorithm, trace=sequential
         ).run()
         parallel = TraceEmitter()
-        ParallelRunner(
+        DistributedRunner(
             grid_scenario(5, sim_seconds=10),
             algorithm,
             workers=2,
             split_ms=SPLIT_MS,
+            steal=False,
             trace=parallel,
         ).run()
         diff = diff_traces(sequential.events, parallel.events)
         assert diff.equal, diff.render(limit=5)
+
+
+class TestTimeCutPins:
+    def test_heavy_grid_time_cut_pins_and_trace(self):
+        # The heavy 5x5 grid (two symbolic drops) cut at 3000 ms onto two
+        # workers: the cut, its LPT projection and the merged totals are
+        # fixed numbers, and the merged trace is the sequential one.
+        from repro.obs import TraceEmitter, diff_traces
+
+        def scenario():
+            return grid_scenario(5, sim_seconds=10, drop_budget=2)
+
+        sequential = TraceEmitter()
+        build_engine(scenario(), "cow", trace=sequential).run()
+        parallel = TraceEmitter()
+        report = DistributedRunner(
+            scenario(),
+            "cow",
+            workers=2,
+            split_ms=3000,
+            steal=False,
+            trace=parallel,
+        ).run()
+        assert report.partition_count == 128
+        assert report.prefix_events == 2629
+        assert report.projected == 1.9995185363505055
+        counters = report.metrics["counters"]
+        assert counters["states.total"] == 4153
+        assert counters["mapping.groups"] == 128
+        assert counters["run.events_executed"] == 32344
+        assert report.transport_name == "MultiprocessTransport"
+        diff = diff_traces(sequential.events, parallel.events)
+        assert diff.equal, diff.render(limit=5)
+
+    def test_split_ms_and_partition_depth_are_exclusive(self):
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            DistributedRunner(
+                grid_scenario(3), "cow", split_ms=1000, partition_depth=10
+            )
 
 
 class TestPickling:
@@ -239,14 +296,12 @@ class TestPickling:
     def test_worker_task_round_trip_executes(self):
         # Build one real task, pickle it, and run it in-process: the exact
         # path a worker subprocess takes.
-        runner = ParallelRunner(
-            grid_scenario(3, sim_seconds=6), "cow", workers=2, split_ms=2000
-        )
-        engine = build_engine(runner.scenario, "cow")
+        engine = build_engine(grid_scenario(3, sim_seconds=6), "cow")
         engine.run_until(split_ms=2000)
-        tasks = runner._build_tasks(engine)
+        assignment = lpt_assign(partition_groups(engine.mapper), 2)
+        tasks, _ = snapshot_assignment_tasks(engine, assignment, trace=False)
         assert tasks
-        result = execute_task_bytes(pickle.dumps(tasks[0]))
+        result = _run_job_inline(0, pickle.dumps(tasks[0]))
         assert result.total_states > 0
         assert result.events_executed > 0
 

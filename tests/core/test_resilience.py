@@ -2,14 +2,15 @@
 
 The contracts pinned here (see docs/RESILIENCE.md):
 
-1. A worker SIGKILL'd mid-partition must *never* hang the run — the old
-   blocking ``queue.get()`` drain did exactly that.  The supervisor
-   detects the death, retries the partition, and a chaos-killed parallel
-   run finishes with results identical to an unfaulted sequential run.
-2. Partitions that exhaust their retries surface as typed
+1. A worker SIGKILL'd mid-job must *never* hang the run — a blocking
+   ``queue.get()`` drain would do exactly that.  The distributed
+   coordinator (the one worker supervisor) detects the death, keeps the
+   exit code, retries the job, and a chaos-killed multi-process run
+   finishes with results identical to an unfaulted sequential run.
+2. Jobs that exhaust their retries surface as typed
    :class:`WorkerFailure` records — raised with the original worker
    traceback chained, or reported in ``failed_partitions`` under
-   ``allow_partial``.
+   ``allow_partial`` with the exit code, group indices and state count.
 3. A resumed checkpoint yields a report equal to an uninterrupted run's
    on every deterministic field, and corrupt/truncated/foreign
    checkpoint files are rejected loudly at load.
@@ -21,23 +22,29 @@ The contracts pinned here (see docs/RESILIENCE.md):
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pickle
+import signal
 import time
 
 import pytest
 
-from repro.core.parallel import ParallelRunner
+from repro.core import distributed
+from repro.core.distributed import (
+    DistributedRunner,
+    MultiprocessTransport,
+    PathPrefix,
+    _Coordinator,
+)
 from repro.core.resilience import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     RetryPolicy,
     WorkerFailure,
-    WorkerSupervisor,
     WorkerTaskError,
     chaos_kill_probability,
     chaos_kill_requested,
+    failure_from_exception,
     load_checkpoint,
     resume_engine,
     save_checkpoint,
@@ -46,9 +53,7 @@ from repro.core.scenario import build_engine
 from repro.obs import TraceEmitter, diff_traces
 from repro.workloads import flood_scenario, grid_scenario
 
-FORK = multiprocessing.get_context("fork")
-
-# Fast-failing policy for supervisor unit tests: real backoff sleeps
+# Fast-failing policy for supervision unit tests: real backoff sleeps
 # would only slow the suite down.
 FAST = RetryPolicy(
     max_retries=2,
@@ -78,7 +83,7 @@ def _assert_reports_match(left, right):
 
 
 # ---------------------------------------------------------------------------
-# Synthetic worker entries (module-level: importable in child processes)
+# Synthetic pool worker (module-level: the target of a forked process)
 # ---------------------------------------------------------------------------
 
 
@@ -89,54 +94,53 @@ class FakeResult:
         self.index = index
 
 
-def _entry_ok(payload, queue, attempt=0, task_index=-1):
-    queue.put(pickle.dumps(FakeResult(task_index)))
+def _fake_worker(worker_index, inbox, outbox, steal_check_events):
+    """Replaces the pool's job loop; each job's payload names its fate."""
+    while True:
+        message = inbox.get()
+        if message[0] == "stop":
+            return
+        if message[0] != "job":
+            continue
+        _, job_id, payload, attempt = message
+        mode = payload.decode()
+        if mode == "crash" or (mode == "crash-first" and attempt == 0):
+            os._exit(23 if mode == "crash" else 17)  # die unreported
+        if mode == "hang":
+            time.sleep(60)
+        if mode == "raise":
+            try:
+                raise ValueError("boom")
+            except ValueError as exc:
+                failure = failure_from_exception(exc, job_id)
+            outbox.put(("fail", worker_index, job_id, failure))
+            continue
+        outbox.put(("done", worker_index, job_id, FakeResult(job_id)))
 
 
-def _entry_crash_first(payload, queue, attempt=0, task_index=-1):
-    if attempt == 0:
-        os._exit(17)  # die unreported, like an OOM kill
-    queue.put(pickle.dumps(FakeResult(task_index)))
+def _inline_ok(job_id, payload):
+    return FakeResult(job_id)
 
 
-def _entry_always_crash(payload, queue, attempt=0, task_index=-1):
-    os._exit(23)
-
-
-def _entry_hang(payload, queue, attempt=0, task_index=-1):
-    time.sleep(60)
-
-
-def _entry_report_exception(payload, queue, attempt=0, task_index=-1):
-    queue.put(
-        pickle.dumps(
-            WorkerFailure(
-                task_index=task_index,
-                kind="exception",
-                message="boom",
-                exc_type="ValueError",
-                traceback="Traceback (most recent call last):\nValueError: boom\n",
-            )
-        )
-    )
-
-
-def _inline_ok(payload):
-    return FakeResult(int(payload.decode()))
-
-
-def _inline_raise(payload):
+def _inline_raise(job_id, payload):
     raise RuntimeError("inline boom")
 
 
-def _supervisor(entry, *, run_inline=_inline_raise, policy=FAST, tasks=2, **kw):
-    payloads = {i: str(i).encode() for i in range(tasks)}
-    return WorkerSupervisor(
-        payloads=payloads,
-        context=FORK,
-        entry=entry,
-        run_inline=run_inline,
+def _coordinator(
+    monkeypatch, modes, *, run_inline=_inline_raise, policy=FAST, **kw
+):
+    """A coordinator over a real two-process pool running ``_fake_worker``."""
+    monkeypatch.setattr(distributed, "_job_worker_main", _fake_worker)
+    jobs = [
+        (mode.encode(), PathPrefix(depth=0, groups=1, states=9, conjuncts=0))
+        for mode in modes
+    ]
+    return _Coordinator(
+        MultiprocessTransport(2, start_method="fork"),
+        jobs,
         policy=policy,
+        steal=False,
+        run_inline=run_inline,
         sleep=lambda _s: None,
         **kw,
     )
@@ -288,25 +292,27 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Supervisor
+# Supervision (the distributed coordinator over a real process pool)
 # ---------------------------------------------------------------------------
 
 
 class TestWorkerSupervisor:
-    def test_healthy_workers_complete_without_retries(self):
-        results, failed, retries = _supervisor(_entry_ok, tasks=3).run()
-        assert sorted(r.index for r in results) == [0, 1, 2]
-        assert failed == []
-        assert retries == 0
+    def test_healthy_workers_complete_without_retries(self, monkeypatch):
+        coordinator = _coordinator(monkeypatch, ["ok", "ok", "ok"])
+        coordinator.run()
+        assert sorted(r.index for r in coordinator.results) == [0, 1, 2]
+        assert coordinator.failed == []
+        assert coordinator.retries == 0
 
-    def test_killed_worker_is_retried_and_recovers(self):
+    def test_killed_worker_is_retried_and_recovers(self, monkeypatch):
         trace = TraceEmitter()
-        results, failed, retries = _supervisor(
-            _entry_crash_first, tasks=2, trace=trace
-        ).run()
-        assert sorted(r.index for r in results) == [0, 1]
-        assert failed == []
-        assert retries == 2  # each task died once
+        coordinator = _coordinator(
+            monkeypatch, ["crash-first", "crash-first"], trace=trace
+        )
+        coordinator.run()
+        assert sorted(r.index for r in coordinator.results) == [0, 1]
+        assert coordinator.failed == []
+        assert coordinator.retries == 2  # each job died once
         names = [event["ev"] for event in trace.events]
         assert "worker.crash" in names
         assert "worker.retry" in names
@@ -314,74 +320,72 @@ class TestWorkerSupervisor:
         assert crash["kind"] == "crash"
         assert crash["exitcode"] == 17
 
-    def test_dead_worker_does_not_hang_the_drain(self):
-        # Regression: the pre-supervisor drain blocked forever on
-        # ``queue.get()`` when a worker died without enqueueing a result.
+    def test_dead_worker_does_not_hang_the_drain(self, monkeypatch):
+        # Regression: a blocking ``queue.get()`` drain waits forever when
+        # a worker dies without enqueueing a result.
         started = time.monotonic()
         policy = RetryPolicy(
             max_retries=0, poll_interval_seconds=0.02, backoff_base_seconds=0.0
         )
         with pytest.raises(WorkerTaskError) as excinfo:
-            _supervisor(_entry_always_crash, policy=policy, tasks=1).run()
+            _coordinator(monkeypatch, ["crash"], policy=policy).run()
         assert time.monotonic() - started < 30.0
         failure = excinfo.value.failure
         assert failure.kind == "crash"
         assert failure.exitcode == 23
+        assert "exitcode 23" in failure.message
         assert "partition 0" in str(excinfo.value)
 
-    def test_final_attempt_runs_inline(self):
-        # With max_retries=1 a crashing task gets its last chance in the
-        # supervisor's own process — immune to further worker loss.
+    def test_final_attempt_runs_inline(self, monkeypatch):
+        # With max_retries=1 a crashing job gets its last chance in the
+        # coordinator's own process — immune to further worker loss.
         policy = RetryPolicy(
             max_retries=1, poll_interval_seconds=0.02, backoff_base_seconds=0.0
         )
-        results, failed, retries = _supervisor(
-            _entry_always_crash, run_inline=_inline_ok, policy=policy, tasks=2
-        ).run()
-        assert sorted(r.index for r in results) == [0, 1]
-        assert failed == []
-        assert retries == 2
+        coordinator = _coordinator(
+            monkeypatch, ["crash", "crash"], run_inline=_inline_ok, policy=policy
+        )
+        coordinator.run()
+        assert sorted(r.index for r in coordinator.results) == [0, 1]
+        assert coordinator.failed == []
+        assert coordinator.retries == 2
 
-    def test_allow_partial_reports_instead_of_raising(self):
+    def test_allow_partial_reports_instead_of_raising(self, monkeypatch):
         policy = RetryPolicy(
             max_retries=0,
             poll_interval_seconds=0.02,
             allow_partial=True,
         )
-        meta = {0: ((3, 5), 9), 1: ((), 0)}
-        supervisor = _supervisor(
-            _entry_always_crash, policy=policy, tasks=2, task_meta=meta
+        coordinator = _coordinator(
+            monkeypatch,
+            ["crash", "crash"],
+            policy=policy,
+            group_indices={0: (3, 5)},
         )
-        results, failed, retries = supervisor.run()
-        assert results == []
-        assert retries == 0
+        coordinator.run()
+        assert coordinator.results == []
+        assert coordinator.retries == 0
+        failed = coordinator.failed
         assert sorted(f.task_index for f in failed) == [0, 1]
         by_index = {f.task_index: f for f in failed}
-        # The failure record carries enough to rerun the partition.
+        # The failure record carries enough to rerun the job.
         assert by_index[0].group_indices == (3, 5)
         assert by_index[0].state_count == 9
+        assert by_index[0].exitcode == 23
+        assert by_index[1].group_indices == ()
 
-    def test_mixed_outcome_keeps_completed_partitions(self):
-        # One healthy task + one that always dies: the healthy result
-        # must survive (the old drain threw everything away).
+    def test_mixed_outcome_keeps_completed_partitions(self, monkeypatch):
+        # One healthy job + one that always dies: the healthy result
+        # must survive the other job's failure.
         policy = RetryPolicy(
             max_retries=0, poll_interval_seconds=0.02, allow_partial=True
         )
-        payloads = {0: b"0", 1: b"1"}
+        coordinator = _coordinator(monkeypatch, ["ok", "crash"], policy=policy)
+        coordinator.run()
+        assert [r.index for r in coordinator.results] == [0]
+        assert [f.task_index for f in coordinator.failed] == [1]
 
-        supervisor = WorkerSupervisor(
-            payloads=payloads,
-            context=FORK,
-            entry=_entry_crash_by_index,
-            run_inline=_inline_raise,
-            policy=policy,
-            sleep=lambda _s: None,
-        )
-        results, failed, _ = supervisor.run()
-        assert [r.index for r in results] == [0]
-        assert [f.task_index for f in failed] == [1]
-
-    def test_timeout_classified_and_terminated(self):
+    def test_timeout_classified_and_terminated(self, monkeypatch):
         policy = RetryPolicy(
             max_retries=0,
             poll_interval_seconds=0.02,
@@ -389,48 +393,49 @@ class TestWorkerSupervisor:
             allow_partial=True,
         )
         started = time.monotonic()
-        results, failed, _ = _supervisor(
-            _entry_hang, policy=policy, tasks=1
-        ).run()
+        coordinator = _coordinator(monkeypatch, ["hang"], policy=policy)
+        coordinator.run()
         assert time.monotonic() - started < 30.0
-        assert results == []
+        assert coordinator.results == []
+        failed = coordinator.failed
         assert len(failed) == 1
         assert failed[0].kind == "timeout"
         assert "wall-clock budget" in failed[0].message
+        assert failed[0].exitcode == -signal.SIGTERM
 
-    def test_worker_exception_preserves_origin(self):
+    def test_worker_exception_preserves_origin(self, monkeypatch):
         policy = RetryPolicy(max_retries=0, poll_interval_seconds=0.02)
         with pytest.raises(WorkerTaskError) as excinfo:
-            _supervisor(_entry_report_exception, policy=policy, tasks=1).run()
+            _coordinator(monkeypatch, ["raise"], policy=policy).run()
         failure = excinfo.value.failure
         assert failure.kind == "exception"
         assert failure.exc_type == "ValueError"
         assert "ValueError: boom" in failure.traceback
+        assert "_fake_worker" in failure.traceback
         # The worker traceback is chained for pytest/traceback display.
         assert excinfo.value.__cause__ is not None
         assert "worker traceback" in str(excinfo.value.__cause__)
 
-    def test_inline_fallback_failure_is_classified(self):
+    def test_inline_fallback_failure_is_classified(self, monkeypatch):
         policy = RetryPolicy(
             max_retries=1,
             poll_interval_seconds=0.02,
             backoff_base_seconds=0.0,
             allow_partial=True,
         )
-        results, failed, _ = _supervisor(
-            _entry_always_crash, run_inline=_inline_raise, policy=policy, tasks=1
-        ).run()
-        assert results == []
+        coordinator = _coordinator(
+            monkeypatch, ["crash"], run_inline=_inline_raise, policy=policy
+        )
+        coordinator.run()
+        assert coordinator.results == []
+        failed = coordinator.failed
         assert len(failed) == 1
         assert failed[0].kind == "exception"
         assert failed[0].exc_type == "RuntimeError"
         assert "inline boom" in failed[0].message
-
-
-def _entry_crash_by_index(payload, queue, attempt=0, task_index=-1):
-    if task_index == 1:
-        os._exit(9)
-    queue.put(pickle.dumps(FakeResult(task_index)))
+        assert "_inline_raise" in failed[0].traceback
+        assert failed[0].attempts == 2
+        assert failed[0].state_count == 9
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +456,13 @@ class TestChaosEquivalence:
 
         monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
         parallel_trace = TraceEmitter()
-        parallel = ParallelRunner(
-            flood_scenario(4, rounds=6),
+        scenario = flood_scenario(4, rounds=6)
+        parallel = DistributedRunner(
+            scenario,
             "sds",
             workers=2,
+            split_ms=scenario.horizon_ms * 3 // 10,
+            steal=False,
             trace=parallel_trace,
             retry_policy=RetryPolicy(
                 backoff_base_seconds=0.001, poll_interval_seconds=0.02
@@ -475,6 +483,36 @@ class TestChaosEquivalence:
         assert parallel.metrics["counters"]["parallel.retries"] == (
             parallel.retries
         )
+
+    def test_exhausted_jobs_keep_exitcode_and_groups(self, monkeypatch):
+        # Every first attempt dies and no retry is allowed: each job of
+        # the cut is reported with the killed process's exit code, the
+        # mapper groups it carried and its state count — together the
+        # jobs name every group of the cut exactly once.
+        monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
+        report = DistributedRunner(
+            grid_scenario(3, sim_seconds=6),
+            "cow",
+            workers=2,
+            split_ms=2000,
+            steal=False,
+            max_retries=0,
+            allow_partial=True,
+            retry_policy=RetryPolicy(poll_interval_seconds=0.02),
+        ).run()
+        assert report.partial
+        assert len(report.failed_partitions) == 2
+        groups = []
+        for failure in report.failed_partitions:
+            assert failure.kind == "crash"
+            assert failure.exitcode == 137
+            assert failure.state_count > 0
+            groups.extend(failure.group_indices)
+            assert failure.as_dict()["group_indices"] == list(
+                failure.group_indices
+            )
+        assert sorted(groups) == list(range(len(groups)))
+        assert len(groups) >= report.partition_count
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from repro import build_engine
 from repro.cli import main
-from repro.core.parallel import ParallelRunner
+from repro.core.distributed import DistributedRunner
 from repro.obs import TraceEmitter, diff_traces, validate_trace
 from repro.workloads import flood_scenario, grid_scenario
 
@@ -49,11 +49,12 @@ class TestWorkerCountIndependence:
         self, sequential_events, workers
     ):
         trace = TraceEmitter()
-        report = ParallelRunner(
+        report = DistributedRunner(
             grid_scenario(3, sim_seconds=6),
             "cow",
             workers=workers,
             split_ms=SPLIT_MS,
+            steal=False,
             trace=trace,
         ).run()
         assert not report.aborted
@@ -63,11 +64,12 @@ class TestWorkerCountIndependence:
 
     def test_parallel_trace_carries_worker_meta_events(self):
         trace = TraceEmitter()
-        ParallelRunner(
+        DistributedRunner(
             grid_scenario(3, sim_seconds=6),
             "cow",
             workers=2,
             split_ms=SPLIT_MS,
+            steal=False,
             trace=trace,
         ).run()
         kinds = {event["ev"] for event in trace.events}
@@ -83,11 +85,12 @@ class TestMetricsDeterminism:
     def test_deterministic_counters_are_worker_count_independent(self):
         reports = {}
         for workers in (1, 2):
-            reports[workers] = ParallelRunner(
+            reports[workers] = DistributedRunner(
                 grid_scenario(3, sim_seconds=6),
                 "cow",
                 workers=workers,
                 split_ms=SPLIT_MS,
+                steal=False,
             ).run()
         # Cache hit/miss ratios, backend-solve counts, model shortcuts and
         # simplifier work all legitimately shift with partitioning (they
@@ -100,8 +103,10 @@ class TestMetricsDeterminism:
             "solver.simplify.",
             "phase.",
         }
+        # The worker and job counts are the harness itself.
+        harness = {"parallel.workers", "distributed.jobs"}
         for name, value in reports[1].metrics["counters"].items():
-            if name == "parallel.workers" or any(
+            if name in harness or any(
                 name.startswith(prefix) for prefix in volatile
             ):
                 continue
