@@ -21,9 +21,10 @@ This module is exactly that loop:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import warnings
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..lang.bytecode import CompiledProgram
 from ..lang.compiler import compile_source
@@ -42,7 +43,7 @@ from ..vm.state import CellValue, Event, ExecutionState, Status
 from .config import EngineConfig
 from .mapping import StateMapper
 from .reduce import StateReducer
-from .stats import Sample, StatsRecorder, estimate_state_bytes
+from .stats import Sample, StatsRecorder
 
 __all__ = ["SDEEngine", "RunReport", "PresetValue"]
 
@@ -56,6 +57,11 @@ LEGACY_KWARGS_MESSAGE = (
 
 # A preset global: one value for all nodes, or an explicit per-node mapping.
 PresetValue = Union[int, Dict[int, int]]
+
+#: Gen-0 cyclic-GC threshold while the event loop runs: the state heap is
+#: never freed during a run and holds almost no cyclic garbage, so at the
+#: default (700) the collector keeps rescanning live states for nothing.
+STATE_HEAP_GC_THRESHOLD = 50_000
 
 
 class RunReport:
@@ -199,6 +205,9 @@ class SDEEngine:
             len(program.code),
             sample_every_events=config.sample_every_events,
         )
+        # States touched since the last sample: the only ones the recorder
+        # re-costs (see StatsRecorder.record).
+        self._dirty: Set[ExecutionState] = set()
         # Observability: `trace is None` means tracing off — every emit
         # site guards on that, so the disabled path allocates nothing.
         self.trace = trace
@@ -295,6 +304,7 @@ class SDEEngine:
             finally:
                 self._mapping_active = False
         sender.record_sent(packet.pid, dest_node)
+        self._dirty.add(sender)
         if self.trace is not None:
             self.trace.emit(
                 "packet.send",
@@ -408,7 +418,9 @@ class SDEEngine:
         consumed — the pending entries stay queued, so the run can be
         snapshotted (:meth:`scheduler_snapshot`) and resumed elsewhere.
         ``split_events`` bounds the number of events executed the same way.
-        With neither bound this is the complete run loop.
+        With neither bound this is the complete run loop.  It runs under
+        :data:`STATE_HEAP_GC_THRESHOLD`; the caller's GC thresholds are
+        restored on every exit.
         """
         if not self._started:
             self.setup()
@@ -416,6 +428,17 @@ class SDEEngine:
             # Resumed checkpoints / restored worker partitions inherit
             # states that must count as covered, never be parked.
             self.reducer.seed(self.states.values())
+        thresholds = gc.get_threshold()
+        if 0 < thresholds[0] < STATE_HEAP_GC_THRESHOLD:
+            gc.set_threshold(STATE_HEAP_GC_THRESHOLD, *thresholds[1:])
+        try:
+            self._event_loop(split_ms, split_events)
+        finally:
+            gc.set_threshold(*thresholds)
+
+    def _event_loop(
+        self, split_ms: Optional[int], split_events: Optional[int]
+    ) -> None:
         while True:
             if (split_events is not None and self.events_executed >= split_events):
                 break  # event-count split point reached
@@ -426,6 +449,7 @@ class SDEEngine:
             if self.clock.expired(event_time):
                 break  # simulation horizon reached
             state = self.states[sid]
+            self._dirty.add(state)
             event = state.pop_event()
             self.clock.advance_to(event_time)
             state.clock = event_time
@@ -434,10 +458,10 @@ class SDEEngine:
             if self.reducer is not None:
                 self._apply_reduction()
             self.events_executed += 1
-            if self._checkpoint_due():
-                self.write_checkpoint()
             if self.stats.should_sample(self.events_executed):
                 self._sample_and_check_caps()
+            if self._checkpoint_due():
+                self.write_checkpoint()  # after sampling: resumes keep the cadence
             if self.check_invariants:
                 self.mapper.check_invariants()
             if self.aborted:
@@ -513,13 +537,14 @@ class SDEEngine:
         )
 
     def _schedule(self, state: ExecutionState) -> None:
+        self._dirty.add(state)
         if state.events and state.status in (Status.IDLE, Status.PRUNED):
             self.scheduler.push(state.peek_event_time(), state.sid)
 
     def _register_state(self, state: ExecutionState) -> None:
         """Spawn callback for mappers and failure models."""
         self.states[state.sid] = state
-        self._schedule(state)
+        self._schedule(state)  # also marks the state dirty
         if self.reducer is not None:
             if self._mapping_active:
                 self._mapping_twins.append(state)
@@ -592,6 +617,7 @@ class SDEEngine:
     ) -> None:
         for child in children:
             self.states[child.sid] = child
+            self._dirty.add(child)
             if self.trace is not None:
                 self.trace.emit(
                     "state.fork",
@@ -703,7 +729,10 @@ class SDEEngine:
             self.clock.now,
             self.events_executed,
             self.mapper.group_count(),
+            dirty=self._dirty,
+            verify=self.check_invariants,
         )
+        self._dirty.clear()
         if self.aborted:
             return sample
         if self.max_states is not None and sample.total_states > self.max_states:
@@ -744,6 +773,3 @@ class SDEEngine:
 
     def error_states(self) -> List[ExecutionState]:
         return [s for s in self.states.values() if s.status == Status.ERROR]
-
-    def total_accounted_bytes(self) -> int:
-        return sum(estimate_state_bytes(s) for s in self.states.values())

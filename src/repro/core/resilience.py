@@ -489,8 +489,8 @@ def resume_engine(path, trace=None, **engine_overrides):
         phase = engine.profiler.phase(name)
         phase.count = data["count"]
         phase.seconds = data["seconds"]
-    engine.stats.samples = list(payload["samples"])
-    engine.stats._last_sampled_at = payload["events_executed"]
+    samples = payload["samples"]
+    engine.stats.restore(samples, samples[-1].events_executed if samples else -1)
     engine.checkpoints_written = payload["checkpoints_written"]
     engine.resumed = True
     if trace is not None:

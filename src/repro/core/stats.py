@@ -19,7 +19,7 @@ content is identical — that is exactly the waste COW/SDS remove.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, NamedTuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional
 
 from ..vm.state import ExecutionState
 
@@ -77,7 +77,12 @@ def process_rss_bytes() -> int:
 
 
 class StatsRecorder:
-    """Collects the growth time series during an engine run."""
+    """Collects the growth time series during an engine run.
+
+    Accounting is incremental: each state's cost is cached (one signed int
+    per sid, negative while not live) beside running totals, so a sample
+    re-costs only the states marked dirty since the previous one.
+    """
 
     def __init__(
         self,
@@ -89,44 +94,66 @@ class StatsRecorder:
         self._image_cost = (PROGRAM_IMAGE_COST_PER_INSTRUCTION * program_instructions)
         self._sample_every = max(1, sample_every_events)
         self._last_sampled_at = -1
+        self._costs: Optional[Dict[int, int]] = None  # None: next sample walks all
+        self._accounted = self._live = 0
 
     def should_sample(self, events_executed: int) -> bool:
         if self._last_sampled_at < 0:
             return True
         return events_executed - self._last_sampled_at >= self._sample_every
 
+    def restore(self, samples: Iterable[Sample], last_sampled_at: int) -> None:
+        """Continue a series (checkpoint resume); the next sample walks all."""
+        self.samples = list(samples)
+        self._last_sampled_at = last_sampled_at
+        self._costs = None
+
     def record(
         self,
-        states: Iterable[ExecutionState],
+        states: Collection[ExecutionState],
         virtual_ms: int,
         events_executed: int,
         groups: int,
+        dirty: Optional[Iterable[ExecutionState]] = None,
+        verify: bool = False,
     ) -> Sample:
-        # Single fused pass: the cost-model arithmetic is inlined (no
-        # per-state function call) and the live count shares the loop —
-        # sampling is a per-64-events hot path over every state alive.
-        accounted = self._image_cost
-        live = 0
-        total = 0
-        for state in states:
-            total += 1
-            status = state.status
-            if status == "idle" or status == "running":  # is_active, inlined
-                live += 1
-            accounted += (
-                STATE_BASE_COST
-                + CELL_COST * len(state.memory)
-                + EVENT_COST * len(state.events)
-                + CONSTRAINT_COST * state.constraints._size
-                + HISTORY_COST * len(state.history)
+        """Append one sample of ``states``, every state of the run.
+
+        With ``dirty`` — every state created, or changed in cost or
+        liveness, since the previous sample — only those are re-costed;
+        without it (and on the first sample) every state is.  ``verify``
+        also recomputes the totals by a full walk; they must match.
+        """
+        costs = self._costs
+        if dirty is None or costs is None:
+            costs = self._costs = {}
+            self._accounted = self._live = 0
+            dirty = states
+        for state in dirty:
+            cost = estimate_state_bytes(state)
+            if not state.is_active():
+                cost = -cost
+            old = costs.get(state.sid, 0)
+            costs[state.sid] = cost
+            self._accounted += abs(cost) - abs(old)
+            self._live += (cost > 0) - (old > 0)
+        if verify:
+            walked = (
+                sum(map(estimate_state_bytes, states)),
+                sum(1 for state in states if state.is_active()),
             )
+            if walked != (self._accounted, self._live):
+                raise AssertionError(
+                    f"incremental (accounted, live) {(self._accounted, self._live)}"
+                    f" != full walk {walked}: a state changed but was not marked dirty"
+                )
         sample = Sample(
             wall_seconds=time.perf_counter() - self._started,
             virtual_ms=virtual_ms,
             events_executed=events_executed,
-            live_states=live,
-            total_states=total,
-            accounted_bytes=accounted,
+            live_states=self._live,
+            total_states=len(states),
+            accounted_bytes=self._image_cost + self._accounted,
             rss_bytes=process_rss_bytes(),
             groups=groups,
         )

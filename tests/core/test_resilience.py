@@ -82,6 +82,28 @@ def _assert_reports_match(left, right):
     assert _error_signature(left) == _error_signature(right)
 
 
+def _sample_series(report):
+    """The Figure-10 series minus its wall-clock and RSS fields."""
+    return [
+        (
+            s.virtual_ms,
+            s.events_executed,
+            s.live_states,
+            s.total_states,
+            s.accounted_bytes,
+            s.groups,
+        )
+        for s in report.samples
+    ]
+
+
+def _assert_resumed_samples_match(resumed, baseline, resumed_at):
+    """A resumed run's samples equal the uninterrupted run's, including
+    every sample taken after the resume point."""
+    assert any(s.events_executed > resumed_at for s in resumed.samples)
+    assert _sample_series(resumed) == _sample_series(baseline)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic pool worker (module-level: the target of a forked process)
 # ---------------------------------------------------------------------------
@@ -540,19 +562,21 @@ class TestCheckpointResume:
         report = resumed.run()
         assert report.resumed
         _assert_reports_match(report, baseline)
+        _assert_resumed_samples_match(report, baseline, header["events_executed"])
         assert resumed.state_census() == baseline_engine.state_census()
 
-    @pytest.mark.parametrize("algorithm", ["cob", "cow"])
+    @pytest.mark.parametrize("algorithm", ["cob", "cow", "sds"])
     def test_resume_matches_for_other_mappers(self, tmp_path, algorithm):
         baseline_engine = build_engine(_scenario(), algorithm)
         baseline = baseline_engine.run()
         engine = build_engine(_scenario(), algorithm)
         engine.run_until(split_ms=2000)
         path = tmp_path / "mid.sdeckpt"
-        save_checkpoint(engine, path)
+        header = save_checkpoint(engine, path)
         resumed = resume_engine(path)
         report = resumed.run()
         _assert_reports_match(report, baseline)
+        _assert_resumed_samples_match(report, baseline, header["events_executed"])
         assert resumed.state_census() == baseline_engine.state_census()
 
     def test_periodic_checkpointing_during_run(self, tmp_path):
@@ -572,8 +596,10 @@ class TestCheckpointResume:
         assert len(writes) == report.checkpoints_written
         # Resuming the *last* periodic checkpoint completes identically.
         resumed = resume_engine(path)
+        resumed_at = resumed.events_executed
         resumed_report = resumed.run()
         _assert_reports_match(resumed_report, report)
+        _assert_resumed_samples_match(resumed_report, report, resumed_at)
         assert resumed.state_census() == engine.state_census()
 
     def test_resume_restores_trace_continuity(self, tmp_path):
