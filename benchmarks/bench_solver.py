@@ -1,17 +1,20 @@
-"""Solver query-optimization A/B: the acceptance gate for the pipeline.
+"""Solver query-optimization gate on the 3-node symbolic flood.
 
-Runs the same symbolic flood scenario twice — ``solver_optimize=False``
-(the seed pipeline: flatten, partition, exact+model cache, search) and
-``solver_optimize=True`` (incremental canonicalization, memoized models
-and verdicts, counterexample tier) — and gates on two properties:
+Runs the symbolic flood once and gates on two properties:
 
-1. **Correctness**: every semantic field of the two reports is
-   identical.  The optimizer may only change *how much work* the backend
-   does, never a verdict, a state count or an executed event.
+1. **Correctness**: every deterministic counter equals the committed
+   constant in :data:`FLOOD_COUNTERS` — the values the seed solver
+   pipeline (flatten, partition, exact+model cache, search) and every
+   optimization setting agreed on when the pipeline was retired.  The
+   optimizer may only change *how much work* the backend does, never a
+   verdict, a state count or an executed event.
 2. **Work reduction**: at least 30% fewer backend solve-group calls
    (``solver.backend.groups`` — each is one normalize+cache+search pass
-   over an independent conjunct group), at wall-clock no worse than the
-   seed pipeline (with slack for CI timer noise).
+   over an independent conjunct group) than the seed pipeline's
+   committed, deterministic :data:`SEED_BACKEND_GROUPS`.
+
+Wall clock is recorded, not gated: ``perfbench``'s ``flood3`` workload
+runs this same scenario and bounds its ``run_s``.
 
 All numbers come from the run's metrics snapshot — the same JSON
 contract ``repro run --metrics-out`` writes — not from solver internals.
@@ -46,15 +49,19 @@ func on_recv(src, len) {
 }
 """
 
-#: Semantic counters that must be bit-identical between the two runs.
-SEMANTIC = (
-    "states.total",
-    "run.events_executed",
-    "mapping.groups",
-    "solver.queries",
-    "solver.sat_results",
-    "solver.unsat_results",
-)
+#: Deterministic counters of the symbolic flood under SDS.
+FLOOD_COUNTERS = {
+    "states.total": 37_376,
+    "run.events_executed": 5_206,
+    "mapping.groups": 512,
+    "run.instructions": 450_551,
+    "solver.queries": 65_548,
+    "solver.sat_results": 65_548,
+    "solver.unsat_results": 0,
+}
+
+#: ``solver.backend.groups`` of the seed pipeline on this scenario.
+SEED_BACKEND_GROUPS = 130_956
 
 
 def _scenario():
@@ -67,50 +74,34 @@ def _scenario():
 
 
 def test_optimizer_reduces_backend_solves(once, benchmark):
-    def run_with(optimize):
-        engine = build_engine(_scenario(), "sds", solver_optimize=optimize)
-        t0 = time.perf_counter()
+    def run():
+        engine = build_engine(_scenario(), "sds")
+        start = time.perf_counter()
         report = engine.run()
-        return time.perf_counter() - t0, report
+        return time.perf_counter() - start, report
 
-    def measure():
-        seed_s, seed = run_with(False)
-        opt_s, opt = run_with(True)
-        return seed_s, seed, opt_s, opt
-
-    seed_s, seed, opt_s, opt = once(measure)
-    seed_c = seed.metrics["counters"]
+    opt_s, opt = once(run)
     opt_c = opt.metrics["counters"]
 
     # 1. Same answers: the optimizer must be semantically invisible.
-    for name in SEMANTIC:
-        assert opt_c[name] == seed_c[name], (name, seed_c[name], opt_c[name])
+    assert {name: opt_c[name] for name in FLOOD_COUNTERS} == FLOOD_COUNTERS
 
-    # 2. Less work: >=30% fewer backend solve-group passes.
-    seed_groups = seed_c["solver.backend.groups"]
+    # 2. Less work: >=30% fewer backend solve-group passes than the seed.
     opt_groups = opt_c["solver.backend.groups"]
-    reduction = 1.0 - opt_groups / max(seed_groups, 1)
+    reduction = 1.0 - opt_groups / SEED_BACKEND_GROUPS
     assert reduction >= 0.30, (
         f"backend solve reduction {reduction:.1%} < 30%"
-        f" ({seed_groups} -> {opt_groups} groups)"
-    )
-
-    # 3. No slower: the tiers must pay for themselves.  1.25x slack keeps
-    # CI timer noise from flaking a run that is reliably faster locally.
-    assert opt_s < seed_s * 1.25, (
-        f"optimized run slower: {opt_s:.2f}s vs {seed_s:.2f}s seed"
+        f" ({SEED_BACKEND_GROUPS} -> {opt_groups} groups)"
     )
 
     record_bench(
-        solver_backend_groups_seed=seed_groups,
+        solver_backend_groups_seed=SEED_BACKEND_GROUPS,
         solver_backend_groups_optimized=opt_groups,
         solver_group_reduction_pct=round(reduction * 100, 1),
-        solver_wall_clock_seed=round(seed_s, 3),
         solver_wall_clock_optimized=round(opt_s, 3),
     )
-    benchmark.extra_info["seed_s"] = round(seed_s, 3)
     benchmark.extra_info["optimized_s"] = round(opt_s, 3)
-    benchmark.extra_info["backend_groups_seed"] = seed_groups
+    benchmark.extra_info["backend_groups_seed"] = SEED_BACKEND_GROUPS
     benchmark.extra_info["backend_groups_optimized"] = opt_groups
     benchmark.extra_info["reduction"] = round(reduction, 3)
     benchmark.extra_info["model_shortcuts"] = opt_c["solver.shortcuts.model"]

@@ -15,8 +15,7 @@ Scenario selectors for run/compare/testcases: ``grid:<side>``,
 ``line:<k>``, ``flood:<k>``, ``election:<k>``, ``quorum:<k>``
 (e.g. ``grid:5`` is the paper's 25-node grid).  ``run`` accepts
 ``--trace-out events.jsonl`` and ``--metrics-out metrics.json`` to capture
-the structured observability artifacts, ``--no-fuse`` (or ``SDE_NO_FUSE=1``)
-to run on the unfused base ISA, and the network-medium flags
+the structured observability artifacts, and the network-medium flags
 (``--medium``, ``--link-loss``, ``--link-jitter-ms``, ``--link-bandwidth``,
 ``--link-queue``, ``--net-seed``; docs/NETWORK.md).
 """
@@ -24,7 +23,6 @@ to run on the unfused base ISA, and the network-medium flags
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -125,20 +123,11 @@ def _emit_artifacts(report, trace, args):
         print(f"metrics written to {metrics_out}")
 
 
-def _fusion_disabled(args) -> bool:
-    """``--no-fuse`` or ``SDE_NO_FUSE=<anything but 0/empty>``."""
-    if getattr(args, "no_fuse", False):
-        return True
-    return os.environ.get("SDE_NO_FUSE", "") not in ("", "0")
-
-
 def _run_report(scenario, algorithm, args, **caps):
     """One run — multi-process with ``--workers``, else sequential."""
     trace = TraceEmitter() if getattr(args, "trace_out", None) else None
     caps.update(_checkpoint_overrides(args))
     caps.update(_medium_overrides(args))
-    if _fusion_disabled(args):
-        caps["fuse_ops"] = False
     if getattr(args, "symmetry", False):
         caps["symmetry"] = True
     if getattr(args, "por", False):
@@ -463,13 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="per-partition wall-clock budget in seconds (workers only)",
-    )
-    run_parser.add_argument(
-        "--no-fuse",
-        action="store_true",
-        default=False,
-        help="disable opcode fusion (superinstructions); also honoured as"
-        " the SDE_NO_FUSE environment variable",
     )
     run_parser.add_argument(
         "--symmetry",

@@ -2,18 +2,16 @@
 
 :class:`EngineConfig` collects every *value* knob of an SDE run: horizon,
 failure models, resource caps, sampling cadence, checkpoint cadence and
-the solver pipeline switches.  Collaborator objects (a pre-built
+the solver's cache and budget.  Collaborator objects (a pre-built
 :class:`~repro.solver.Solver`, a :class:`~repro.obs.events.TraceEmitter`)
 stay separate constructor arguments — they carry state and are never
 shipped across process boundaries, while a config is immutable and
 picklable, so a worker task or a checkpoint can carry exactly one of
-them.
+them.  ``SDEEngine(program, topology, mapper, config)`` requires one.
 
-The legacy ``SDEEngine(program, topology, mapper, horizon_ms=..., ...)``
-keyword form still works through a shim that assembles an
-:class:`EngineConfig` and emits a :class:`DeprecationWarning` (the test
-suite escalates that warning to an error everywhere except the shim's
-own test).
+Every field is reachable from outside the library: a ``repro run`` flag,
+the service's ``CONFIG_FIELD_ALLOWLIST`` or a :class:`Scenario` field
+(``tests/core/test_engine_config.py`` holds that line).
 """
 
 from __future__ import annotations
@@ -35,10 +33,10 @@ _PresetValue = Union[int, Dict[int, int]]
 class EngineConfig:
     """Immutable value-configuration of one :class:`SDEEngine`.
 
-    ``replace`` derives a variant (workers strip checkpoint settings,
-    benchmarks flip ``solver_optimize``); everything else is a plain
-    field.  Sequence fields are normalized to tuples so configs can be
-    compared and shipped between processes safely.
+    ``replace`` derives a variant (workers strip checkpoint settings);
+    everything else is a plain field.  Sequence fields are normalized to
+    tuples so configs can be compared and shipped between processes
+    safely.
     """
 
     #: virtual-time horizon: the run stops at this simulated time.
@@ -75,19 +73,6 @@ class EngineConfig:
     # -- solver pipeline (repro.solver) -------------------------------------
     solver_cache: bool = True
     solver_max_nodes: int = 200_000
-    #: master switch for the query-optimization pipeline (canonicalization,
-    #: tiered caching, model shortcuts); off = seed solver behaviour.
-    solver_optimize: bool = True
-    # -- interpreter (repro.vm) ---------------------------------------------
-    #: fuse hot opcode pairs into superinstructions at decode time
-    #: (``repro run --no-fuse`` / ``SDE_NO_FUSE=1`` turn this off for
-    #: debugging miscompiled superinstructions).  Trace-invisible.
-    fuse_ops: bool = True
-    #: loop-increment reuse: build a loop iteration's path-condition
-    #: extension as a delta against the previous iteration's memoized
-    #: canonical form, and memoize per-conjunct model verdicts.
-    #: Trace- and verdict-invisible; only work counters move.
-    loop_reuse: bool = True
     # -- state-space reduction (repro.core.reduce) --------------------------
     #: symmetry reduction: park states whose canonical configuration
     #: fingerprint (alpha-renamed, minimized over the topology's node
@@ -132,8 +117,6 @@ class EngineConfig:
         return Solver(
             use_cache=self.solver_cache,
             max_nodes=self.solver_max_nodes,
-            optimize=self.solver_optimize,
-            loop_reuse=self.loop_reuse,
         )
 
 

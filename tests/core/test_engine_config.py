@@ -1,19 +1,22 @@
 """EngineConfig: the one-object engine construction surface.
 
 Covers the frozen dataclass itself, the override splitting that
-``build_engine``/``resume_engine`` share, the worker variant, and the
-legacy keyword shim (the only place in the tree allowed to trip the
-``DeprecationWarning`` — pytest escalates it to an error elsewhere).
+``build_engine``/``resume_engine`` share, the worker variant, the
+rejection of the retired keyword call form, and the knob audit: every
+config field must be reachable from outside the library.
 """
 
 import dataclasses
+import inspect
 import pickle
 
 import pytest
 
-from repro.api import EngineConfig, SDEEngine, build_engine
+from repro import cli
+from repro.api import EngineConfig, SDEEngine, Scenario, Topology, build_engine
 from repro.core.config import ENGINE_CONFIG_FIELDS, split_config_overrides
-from repro.core.engine import LEGACY_KWARGS_MESSAGE
+from repro.net.failures import SymbolicPacketDrop
+from repro.service.spec import CONFIG_FIELD_ALLOWLIST
 from repro.workloads import flood_scenario
 
 
@@ -54,18 +57,18 @@ class TestConfigObject:
 
     def test_make_solver_honours_switches(self):
         solver = EngineConfig(
-            horizon_ms=1, solver_cache=False, solver_optimize=False
+            horizon_ms=1, solver_cache=False, solver_max_nodes=99
         ).make_solver()
         assert solver.cache_stats() is None
-        assert not solver._optimize
+        assert solver._max_nodes == 99
 
 
 class TestOverrideSplitting:
     def test_split_config_overrides(self):
         config_part, rest = split_config_overrides(
-            {"max_states": 5, "trace": object(), "solver_optimize": False}
+            {"max_states": 5, "trace": object(), "symmetry": True}
         )
-        assert set(config_part) == {"max_states", "solver_optimize"}
+        assert set(config_part) == {"max_states", "symmetry"}
         assert set(rest) == {"trace"}
 
     def test_field_inventory_matches_dataclass(self):
@@ -75,10 +78,10 @@ class TestOverrideSplitting:
 
     def test_build_engine_routes_overrides_into_config(self):
         engine = build_engine(
-            flood_scenario(3), "sds", max_states=123, solver_optimize=False
+            flood_scenario(3), "sds", max_states=123, symmetry=True
         )
         assert engine.config.max_states == 123
-        assert not engine.solver._optimize
+        assert engine.reducer is not None
 
     def test_build_engine_rejects_unknown_override(self):
         with pytest.raises(TypeError, match="unknown"):
@@ -86,37 +89,86 @@ class TestOverrideSplitting:
 
 
 class TestLegacyKeywordShim:
-    def _parts(self):
+    def test_config_plus_legacy_keywords_is_an_error(self):
+        """The retired keyword and positional-horizon forms are errors: ``config``
+        must be an :class:`EngineConfig` and takes no extra options."""
         scenario = flood_scenario(3)
         from repro.core.scenario import make_mapper
 
-        return scenario.compiled(), scenario.topology, make_mapper("sds")
+        parts = (scenario.compiled(), scenario.topology, make_mapper("sds"))
+        with pytest.raises(TypeError):
+            SDEEngine(*parts, EngineConfig(horizon_ms=500), max_states=9)
+        with pytest.raises(TypeError):
+            SDEEngine(*parts, horizon_ms=500, max_states=9)
+        with pytest.raises(TypeError, match="EngineConfig"):
+            SDEEngine(*parts, 500)
 
-    def test_keyword_form_warns_and_builds_equivalent_config(self):
-        program, topology, mapper = self._parts()
-        with pytest.warns(DeprecationWarning, match="EngineConfig"):
-            engine = SDEEngine(
-                program, topology, mapper, horizon_ms=500, max_states=9
-            )
-        assert engine.config == EngineConfig(horizon_ms=500, max_states=9)
 
-    def test_positional_horizon_still_accepted(self):
-        program, topology, mapper = self._parts()
-        with pytest.warns(DeprecationWarning):
-            engine = SDEEngine(program, topology, mapper, 500)
-        assert engine.config.horizon_ms == 500
+class _Captured(Exception):
+    pass
 
-    def test_config_plus_legacy_keywords_is_an_error(self):
-        program, topology, mapper = self._parts()
-        with pytest.raises(TypeError, match="cannot mix"):
-            SDEEngine(
-                program,
-                topology,
-                mapper,
-                EngineConfig(horizon_ms=500),
-                max_states=9,
-            )
 
-    def test_message_constant_is_what_the_filter_matches(self):
-        # pyproject's filterwarnings entry match this text; keep them in sync.
-        assert "EngineConfig" in LEGACY_KWARGS_MESSAGE
+def _cli_run_fields(monkeypatch, tmp_path):
+    """Config fields ``repro run`` sets when every engine flag is given."""
+    captured = {}
+
+    def fake_build_engine(scenario, algorithm, **overrides):
+        captured.update(overrides)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "build_engine", fake_build_engine)
+    with pytest.raises(_Captured):
+        cli.main([
+            "run", "flood:3",
+            "--max-states", "5",
+            "--max-wall-seconds", "9",
+            "--checkpoint-out", str(tmp_path / "run.sdeckpt"),
+            "--checkpoint-every", "7",
+            "--checkpoint-every-seconds", "3",
+            "--symmetry",
+            "--por",
+            "--link-loss", "0.1",
+        ])
+    return {
+        name for name, value in captured.items()
+        if name in ENGINE_CONFIG_FIELDS and value is not None
+    }
+
+
+def _scenario_fields():
+    """Config fields a Scenario (and ``build_engine``'s own arguments) set."""
+    scenario = Scenario(
+        name="audit",
+        program="func on_boot() { }",
+        topology=Topology.line(2),
+        horizon_ms=77,
+        failure_factory=lambda: (SymbolicPacketDrop([0]),),
+        preset_globals={"g": 1},
+        latency_ms=3,
+        medium="realistic",
+        medium_params={"loss": 0.1},
+        boot_times=[0, 1],
+        max_states=5,
+        max_accounted_bytes=6,
+        max_wall_seconds=7.0,
+        sample_every_events=8,
+    )
+    config = scenario.engine_config()
+    default = EngineConfig(horizon_ms=1)
+    mapped = {
+        f.name for f in dataclasses.fields(EngineConfig)
+        if getattr(config, f.name) != getattr(default, f.name)
+    }
+    arguments = set(inspect.signature(build_engine).parameters)
+    return mapped | (arguments & ENGINE_CONFIG_FIELDS)
+
+
+def test_every_config_field_has_a_caller(monkeypatch, tmp_path):
+    """No caller-less knobs: each field comes from the service allowlist,
+    a ``repro run`` flag, or the Scenario -> config mapping."""
+    reachable = (
+        CONFIG_FIELD_ALLOWLIST
+        | _cli_run_fields(monkeypatch, tmp_path)
+        | _scenario_fields()
+    )
+    assert ENGINE_CONFIG_FIELDS - reachable == set()

@@ -3,11 +3,26 @@
 The acceptance bar for every performance tier — the solver
 query-optimization pipeline, opcode fusion (superinstructions) and
 loop-increment constraint reuse: for every mapping algorithm, the
-canonical trace multiset of a run with an optimization on is identical
-to a run with it off.  Memoized models, verdict memos, canonicalization,
-the counterexample cache, fused dispatch and delta re-simplification may
-only change *how* a result is reached, never which result — and never a
-fork, a send, a delivery or a mapper copy downstream of one.
+canonical trace multiset of a run is the one pinned in
+``golden_traces.json``.  Memoized models, verdict memos,
+canonicalization, the counterexample cache, fused dispatch and delta
+re-simplification may only change *how* a result is reached, never which
+result — and never a fork, a send, a delivery or a mapper copy
+downstream of one.
+
+The golden file stores, per (scenario, algorithm) cell, the SHA-256 of
+the sorted canonical event multiset, its size and the deterministic
+counters.  It was cut from runs on which every optimization (alone and
+all at once) agreed with the unoptimized interpreter and solver
+pipelines.  Regenerate it only for an intentional semantic change, with
+:func:`golden_cell` over the same cells.
+
+Each optimization is also switched off, one at a time and all at once,
+through the reference paths that remain: the base-ISA executor
+(``Executor(fuse_ops=False)``), a solver whose every query reaches the
+backend (no cache tiers, model shortcut or verdict memo), and full
+re-simplification with per-conjunct model verdicts recomputed on every
+check.  Those runs must hit the same golden cell as the default run.
 
 Two workload shapes: the paper's flood/dissemination scenarios (failure
 branching decided at the engine level) and a symbolic-data program whose
@@ -17,10 +32,19 @@ deliberately contains the compare+branch and load/inc/store patterns the
 fuser targets (``CMP_JZ``/``CMP_JNZ``/``INC_MEM``).
 """
 
+import functools
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import Scenario, Topology, TraceEmitter, build_engine
-from repro.obs import diff_traces
+from repro.core import engine as engine_module
+from repro.obs import canonical_multiset
+from repro.solver.constraints import ConstraintSet
+from repro.solver.model import Model
+from repro.vm.executor import Executor
 from repro.workloads import dissemination_scenario, flood_scenario
 
 SYMBOLIC_READINGS = """
@@ -38,7 +62,7 @@ func on_recv(src, len) {
 }
 """
 
-#: Deterministic counters both sides of every A/B pair must agree on.
+#: Deterministic counters pinned per cell next to the trace digest.
 SEMANTIC_COUNTERS = (
     "states.total",
     "run.events_executed",
@@ -48,23 +72,25 @@ SEMANTIC_COUNTERS = (
     "solver.unsat_results",
 )
 
+GOLDEN = json.loads(Path(__file__).with_name("golden_traces.json").read_text())
 
-def _traced(scenario, algorithm, **overrides):
+
+def golden_cell(scenario, algorithm, **overrides):
+    """One run's golden entry: trace-multiset digest, size, counters."""
     trace = TraceEmitter()
     report = build_engine(scenario, algorithm, trace=trace, **overrides).run()
-    return trace.events, report
-
-
-def _assert_equivalent(scenario, algorithm, baseline, candidate):
-    """Trace multisets and deterministic counters must match exactly."""
-    base_events, base = _traced(scenario, algorithm, **baseline)
-    cand_events, cand = _traced(scenario, algorithm, **candidate)
-    diff = diff_traces(base_events, cand_events)
-    assert diff.equal, diff.render(limit=5)
-    base_counters = base.metrics["counters"]
-    cand_counters = cand.metrics["counters"]
-    for name in SEMANTIC_COUNTERS:
-        assert cand_counters[name] == base_counters[name], name
+    multiset = canonical_multiset(trace.events)
+    lines = sorted(
+        json.dumps(event, sort_keys=True) for event in multiset.elements()
+    )
+    counters = report.metrics["counters"]
+    return {
+        "counters": {name: counters[name] for name in SEMANTIC_COUNTERS},
+        "events": sum(multiset.values()),
+        "multiset_sha256": hashlib.sha256(
+            "\n".join(lines).encode()
+        ).hexdigest(),
+    }
 
 
 def _scenarios():
@@ -92,37 +118,87 @@ ALGORITHMS = ["cob", "cow", "sds"]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("scenario", [s for _, s in SCENARIOS], ids=SCENARIO_IDS)
-def test_solver_optimizer_invisible(scenario, algorithm):
-    _assert_equivalent(
-        scenario,
-        algorithm,
-        baseline=dict(solver_optimize=False),
-        candidate=dict(solver_optimize=True),
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
+def test_optimizations_match_golden(scenario, algorithm):
+    name, scenario = scenario
+    assert golden_cell(scenario, algorithm) == GOLDEN[f"{name}-{algorithm}"]
+
+
+def _unfused(monkeypatch):
+    """The engine interprets the base ISA: no superinstructions."""
+    monkeypatch.setattr(
+        engine_module, "Executor", functools.partial(Executor, fuse_ops=False)
+    )
+
+
+def _solver_shortcuts_off(monkeypatch):
+    """No model shortcut and no verdict memo; with ``solver_cache=False``
+    every query is normalized and solved by the backend."""
+    monkeypatch.setattr(ConstraintSet, "cached_model", lambda self: None)
+    monkeypatch.setattr(
+        ConstraintSet, "cached_verdict", lambda self, extra: (False, None)
+    )
+
+
+def _incremental_reuse_off(monkeypatch):
+    """Full re-simplification on every implied equality, and every model
+    check evaluates each conjunct afresh."""
+    monkeypatch.setattr(
+        ConstraintSet,
+        "_resimplify_delta",
+        lambda self, base, conjunct, stats: self._resimplify(
+            base + (conjunct,), stats
+        ),
+    )
+    satisfies = Model.satisfies
+
+    def unmemoized(self, constraints):
+        self._memo.clear()
+        return satisfies(self, constraints)
+
+    monkeypatch.setattr(Model, "satisfies", unmemoized)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
+def test_solver_optimizer_invisible(scenario, algorithm, monkeypatch):
+    """Cache tiers, model shortcut and verdict memo never change a result."""
+    name, scenario = scenario
+    _solver_shortcuts_off(monkeypatch)
+    assert (
+        golden_cell(scenario, algorithm, solver_cache=False)
+        == GOLDEN[f"{name}-{algorithm}"]
     )
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("scenario", [s for _, s in SCENARIOS], ids=SCENARIO_IDS)
-def test_opcode_fusion_invisible(scenario, algorithm):
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
+def test_opcode_fusion_invisible(scenario, algorithm, monkeypatch):
     """Superinstruction dispatch == base-ISA dispatch, per trace multiset."""
-    _assert_equivalent(
-        scenario,
-        algorithm,
-        baseline=dict(fuse_ops=False),
-        candidate=dict(fuse_ops=True),
-    )
+    name, scenario = scenario
+    _unfused(monkeypatch)
+    assert golden_cell(scenario, algorithm) == GOLDEN[f"{name}-{algorithm}"]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("scenario", [s for _, s in SCENARIOS], ids=SCENARIO_IDS)
-def test_loop_reuse_invisible(scenario, algorithm):
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
+def test_loop_reuse_invisible(scenario, algorithm, monkeypatch):
     """Delta canonicalization + model memos never flip a verdict."""
-    _assert_equivalent(
-        scenario,
-        algorithm,
-        baseline=dict(loop_reuse=False),
-        candidate=dict(loop_reuse=True),
+    name, scenario = scenario
+    _incremental_reuse_off(monkeypatch)
+    assert golden_cell(scenario, algorithm) == GOLDEN[f"{name}-{algorithm}"]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_everything_off_equals_everything_on(algorithm, monkeypatch):
+    """Every reference path at once vs the default run's golden cell."""
+    _unfused(monkeypatch)
+    _solver_shortcuts_off(monkeypatch)
+    _incremental_reuse_off(monkeypatch)
+    scenario = dict(SCENARIOS)["symbolic"]
+    assert (
+        golden_cell(scenario, algorithm, solver_cache=False)
+        == GOLDEN[f"symbolic-{algorithm}"]
     )
 
 
@@ -178,24 +254,3 @@ def test_reduction_preserves_verdicts(topology, algorithm):
     assert verdicts_off, "gate is vacuous: scenario reported no violations"
     assert canonical_violations(on, topology) == verdicts_off
     assert on.total_states <= off.total_states
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_everything_off_equals_everything_on(algorithm):
-    """The full PR 4-era configuration vs all optimizations at once."""
-    scenario = Scenario(
-        name="symbolic-readings",
-        program=SYMBOLIC_READINGS,
-        topology=Topology.line(3),
-        horizon_ms=200,
-    )
-    _assert_equivalent(
-        scenario,
-        algorithm,
-        baseline=dict(
-            solver_optimize=False, fuse_ops=False, loop_reuse=False
-        ),
-        candidate=dict(
-            solver_optimize=True, fuse_ops=True, loop_reuse=True
-        ),
-    )

@@ -5,12 +5,18 @@ source, compiled, executed concretely in the VM, and compared against a
 reference evaluator implementing C-on-32-bit semantics directly in Python.
 Any miscompilation (precedence, codegen, masking, signedness) shows up as
 a value mismatch.
+
+Every program also runs on the unfused base ISA (``fuse_ops=False``):
+superinstructions must give the same result, instruction count and
+visited pcs.  The loop form (``while`` + ``+=``) is the one that makes
+the compare+branch and load/inc/store fusions fire.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lang import compile_source
+from repro.lang.bytecode import Op
 from repro.vm import Executor
 
 MASK = 0xFFFFFFFF
@@ -130,23 +136,49 @@ def _expr(draw, env, depth):
     )
 
 
-@settings(max_examples=250, deadline=None)
-@given(expression())
-def test_compiled_expression_matches_reference(case):
-    node, env = case
-    source = f"""
-    var r;
-    func main(a, b) {{
-        r = {node.text};
-    }}
-    """
-    program = compile_source(source)
-    executor = Executor(program)
+def _run(program, env, fuse_ops):
+    executor = Executor(program, fuse_ops=fuse_ops)
     state = executor.make_initial_state(0)
     finals = executor.run_event(state, "main", [env["a"], env["b"]])
     assert len(finals) == 1, finals
     result = finals[0].memory[program.global_address("r")]
-    assert result == node.value, (
+    return executor, result
+
+
+@settings(max_examples=250, deadline=None)
+@given(expression(), st.none() | st.integers(0, 5))
+def test_compiled_expression_matches_reference(case, loop_count):
+    node, env = case
+    if loop_count is None:
+        body = f"r = {node.text};"
+        expected = node.value
+    else:
+        # The loop test fuses to CMP_JZ, the first `||` arm to CMP_JNZ
+        # (it always holds inside the loop), `i += 1` to INC_MEM.
+        body = f"""
+        var i = 0;
+        while (i < {loop_count}) {{
+            if (i < {loop_count} || a == b) {{ r += {node.text}; }}
+            i += 1;
+        }}"""
+        expected = (loop_count * node.value) & MASK
+    source = f"""
+    var r;
+    func main(a, b) {{
+        {body}
+    }}
+    """
+    program = compile_source(source)
+    fused, result = _run(program, env, fuse_ops=True)
+    assert result == expected, (
         f"compiled {node.text} with a={env['a']} b={env['b']}: "
-        f"vm={result} reference={node.value}"
+        f"vm={result} reference={expected}"
     )
+    unfused, unfused_result = _run(program, env, fuse_ops=False)
+    assert unfused_result == result
+    assert unfused.instructions_executed == fused.instructions_executed
+    assert unfused.visited_pcs == fused.visited_pcs
+    if loop_count is not None:
+        superops = {op for op, _, _ in fused.decoded.code}
+        assert fused.decoded.fused > 0
+        assert {Op.CMP_JZ, Op.CMP_JNZ, Op.INC_MEM} <= superops

@@ -207,6 +207,11 @@ class TestRejections:
             )[0]
             == 400
         )
+        for retired in ("solver_optimize", "fuse_ops", "loop_reuse"):
+            status, out = service.submit(
+                {"workload": "flood", "size": 3, "config": {retired: False}}
+            )
+            assert status == 400 and "not submittable" in out["error"]
         status, out = service.request("POST", "/v1/runs", body=None)
         assert status == 400
         assert "JSON" in out["error"] or "object" in out["error"]

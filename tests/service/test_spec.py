@@ -48,6 +48,10 @@ class TestValidation:
             SubmissionSpec.from_dict(
                 spec_dict(config={"checkpoint_path": "/tmp/evil"})
             )
+        # retired engine knobs: a stale submission is a 400, not a 5xx
+        for retired in ("solver_optimize", "fuse_ops", "loop_reuse"):
+            with pytest.raises(SpecError, match="not submittable"):
+                SubmissionSpec.from_dict(spec_dict(config={retired: False}))
         spec = SubmissionSpec.from_dict(
             spec_dict(config={"max_states": 100, "symmetry": True})
         )

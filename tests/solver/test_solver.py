@@ -1,8 +1,10 @@
 """End-to-end solver tests: satisfiability decisions, models, entailment,
 plus the brute-force hypothesis oracle over small domains."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.expr import (
@@ -24,7 +26,7 @@ from repro.expr import (
     var,
     zext,
 )
-from repro.solver import Model, Solver, UnsatisfiableError
+from repro.solver import EMPTY, Model, Solver, UnsatisfiableError
 
 X = var("x")
 Y = var("y")
@@ -239,34 +241,146 @@ _atom_builders = [
 
 
 @st.composite
-def _random_query(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
-    atoms = []
-    for _ in range(n):
-        builder = draw(st.sampled_from(_atom_builders))
-        c = draw(st.integers(min_value=0, max_value=15))
-        atom = builder(c)
-        if draw(st.booleans()):
-            atom = not_(atom)
-        atoms.append(atom)
-    if draw(st.booleans()) and len(atoms) >= 2:
-        atoms = [or_(atoms[0], atoms[1])] + atoms[2:]
-    return atoms
+def _random_atom(draw):
+    builder = draw(st.sampled_from(_atom_builders))
+    atom = builder(draw(st.integers(min_value=0, max_value=15)))
+    return not_(atom) if draw(st.booleans()) else atom
+
+
+@st.composite
+def _query_batch(draw):
+    """Queries over a small shared atom pool, the way forked states ask
+    them: a path condition (as pool indices, built up by extension) plus
+    one extra conjunct, as a branch pair or a single may-be-true probe.
+    ``shared`` paths reuse one ConstraintSet node per prefix (siblings);
+    the others are rebuilt from the root, so only the cache can help.
+    ``deeper`` re-asks the extra one conjunct further down the path, as
+    a child state re-probing its parent's branch condition does."""
+    atom = _random_atom()
+    pool = draw(
+        st.lists(atom | st.builds(or_, atom, atom), min_size=2, max_size=5)
+    )
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    return pool, draw(
+        st.lists(
+            st.tuples(
+                st.lists(index, max_size=4),
+                index,
+                st.sampled_from(["branch", "may"]),
+                st.booleans(),
+                st.none() | index,
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+
+
+#: A batch that fires every tier, so the oracle is never vacuous.
+_EVERY_TIER_BATCH = (
+    [
+        ult(_A4, bv(3, 4)),
+        not_(ult(_A4, bv(5, 4))),
+        ne(_A4, bv(7, 4)),
+        ule(bv(2, 4), _B4),
+        ne(_B4, bv(9, 4)),
+        eq(_B4, bv(4, 4)),
+    ],
+    [
+        ([0], 1, "may", True, 2),  # backend UNSAT; the child hits cex
+        ([0], 1, "may", True, None),  # verdict memo on the shared node
+        ([3], 2, "may", False, None),  # stores the b-group model
+        ([3, 4], 2, "may", False, None),  # model-reuse tier
+        ([3, 5], 2, "branch", True, None),  # delta canonicalization
+        ([0, 5], 1, "may", False, None),  # delta keeps the a-conjunct
+        ([3, 5], 4, "may", True, None),  # model shortcut
+    ],
+)
+
+
+def _brute_sat(constraints):
+    return any(
+        all(evaluate(c, {"a4": a, "b4": b}) for c in constraints)
+        for a in range(16)
+        for b in range(16)
+    )
+
+
+def _check_flat(constraints):
+    """A flat, cache-off ``check(list)`` against enumeration."""
+    model = Solver(use_cache=False).check(constraints)
+    if _brute_sat(constraints):
+        assert model is not None, f"solver said unsat, brute force found sat: {constraints}"
+        assert model.satisfies(constraints)
+    else:
+        assert model is None, f"solver said sat for unsat query: {constraints}"
+
+
+def _check_incremental(solver, node, conjuncts, extra, kind):
+    """One query against ``node`` (the path condition ``conjuncts``)."""
+    may_true = _brute_sat(conjuncts + [extra])
+    if kind == "branch":
+        may_false = _brute_sat(conjuncts + [not_(extra)])
+        assert solver.branch_feasibility(node, extra) == (
+            may_true,
+            may_false,
+        ), (conjuncts, extra)
+    else:
+        assert solver.may_be_true(node, extra) == may_true, (conjuncts, extra)
+    model = node.cached_model()
+    if model is not None:
+        assert model.satisfies(conjuncts)
 
 
 class TestBruteForceOracle:
-    @settings(max_examples=300, deadline=None)
-    @given(_random_query())
-    def test_matches_enumeration(self, constraints):
-        solver = Solver(use_cache=False)
-        model = solver.check(constraints)
-        brute_sat = any(
-            all(evaluate(c, {"a4": a, "b4": b}) for c in constraints)
-            for a in range(16)
-            for b in range(16)
-        )
-        if brute_sat:
-            assert model is not None, f"solver said unsat, brute force found sat: {constraints}"
-            assert model.satisfies(constraints)
-        else:
-            assert model is None, f"solver said sat for unsat query: {constraints}"
+    def test_matches_enumeration(self):
+        """Every answer equals enumeration over the 4-bit domain, in two
+        forms: each path condition as a flat query on an uncached solver,
+        and every (path, extra) query on one cached solver per batch with
+        the path grown by ``ConstraintSet.extended`` — the form that puts
+        the model shortcut, verdict memo, delta canonicalization and the
+        counterexample and model-reuse cache tiers in front of the oracle.
+        """
+        fired = Counter()
+
+        @settings(max_examples=300, deadline=None)
+        @given(_query_batch())
+        @example(_EVERY_TIER_BATCH)
+        def check_batch(batch):
+            pool, queries = batch
+            solver = Solver()
+            shared = {}
+            for path, extra_index, kind, reuse, deeper in queries:
+                conjuncts = [pool[i] for i in path]
+                _check_flat(conjuncts)
+                node = EMPTY
+                for depth, atom_index in enumerate(path):
+                    prefix = tuple(path[: depth + 1])
+                    if reuse and prefix in shared:
+                        node = shared[prefix]
+                        continue
+                    node = node.extended(pool[atom_index])
+                    if reuse:
+                        shared[prefix] = node
+                extra = pool[extra_index]
+                _check_incremental(solver, node, conjuncts, extra, kind)
+                if deeper is not None:
+                    _check_incremental(
+                        solver,
+                        node.extended(pool[deeper]),
+                        conjuncts + [pool[deeper]],
+                        extra,
+                        kind,
+                    )
+            stats = solver.stats_dict()
+            cache = solver.cache_stats()
+            fired["cex"] += cache["hit.cex"]
+            fired["model"] += cache["hit.model"]
+            fired["shortcut"] += stats["shortcuts.model"]
+            fired["verdict"] += stats["shortcuts.verdict"]
+            fired["delta"] += stats["simplify.delta"]
+
+        check_batch()
+        assert all(fired[tier] > 0 for tier in (
+            "cex", "model", "shortcut", "verdict", "delta"
+        )), fired
