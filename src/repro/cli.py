@@ -195,7 +195,7 @@ def _cmd_run(args) -> int:
     print(render_table1([row], f"{name} under {report.algorithm}"))
     print(f"\nevents={row.events} instructions={row.instructions}"
           f" error-states={row.error_states}")
-    if hasattr(report, "partition_count"):
+    if report.workers:
         print(
             f"workers={report.workers} partitions={report.partition_count}"
             f" prefix-events={report.prefix_events}"
@@ -209,14 +209,14 @@ def _cmd_run(args) -> int:
             f" steals={report.steals_granted}/{report.steals_requested}"
             f" ({report.transport_name})"
         )
-    if getattr(report, "partial", False):
+    if report.partial:
         print(
             f"PARTIAL: {len(report.failed_partitions)} partition(s) failed"
             " after retries"
         )
         for failure in report.failed_partitions:
             print(f"  - {failure.describe()}")
-    if getattr(report, "checkpoints_written", 0) and args.checkpoint_out:
+    if report.checkpoints_written and args.checkpoint_out:
         print(
             f"checkpoints written: {report.checkpoints_written}"
             f" (latest: {args.checkpoint_out})"

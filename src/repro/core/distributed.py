@@ -31,12 +31,11 @@ Where to cut is the one choice :class:`DistributedRunner` offers:
 After the cut the pipeline is the same for all three:
 
 1. :func:`~repro.core.partition.lpt_assign` bundles the partitions onto
-   the workers, and :func:`snapshot_assignment_tasks` turns each bundle
-   into a pickled :class:`WorkerTask` — an engine checkpoint (mapper
-   payload + scheduler order + id watermarks) with the run's
-   :meth:`EngineConfig.worker_variant` — plus a :class:`PathPrefix`
-   summary of the path constraints delimiting the subtree.  Every cut
-   lands on an event boundary, so all states are quiescent and the
+   the workers, and each bundle ships as a job: the pickled
+   :class:`~repro.core.engine.EngineSnapshot` of its groups (the same
+   serialization a checkpoint uses, under the run's
+   :meth:`EngineConfig.worker_variant`) next to its state count.  Every
+   cut lands on an event boundary, so all states are quiescent and the
    scheduler snapshot is exact; the constraints travel inside the
    snapshot (each shipped state carries its ``ConstraintSet``), which is
    what makes a job self-contained.
@@ -47,7 +46,8 @@ After the cut the pipeline is the same for all three:
    busy worker to re-partition its remaining frontier at its next event
    boundary and hand half back as fresh jobs.  With ``steal`` off and a
    time cut, this is the plain split/partition/ship/merge pipeline.
-3. The per-job results merge into one :class:`DistributedReport`.
+3. The per-job results — each a plain :class:`~repro.core.engine.RunReport`
+   — merge into one :class:`DistributedReport`.
 
 Why the merged report is pinned identical to the sequential run: a cut
 ships every live state to exactly one job, transmissions only ever map
@@ -78,21 +78,19 @@ and a donor that dies *before* replying simply retries the original job.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import os
 import pickle
 import queue as queue_module
+import sys
 import time as _time
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..net.packet import ensure_packet_ids_above, packet_id_watermark
 from ..obs.events import TraceEmitter
 from ..obs.metrics import Histogram, report_snapshot
 from ..obs.profile import merge_phase_snapshots
-from ..vm.state import ensure_state_ids_above, state_id_watermark
-from .engine import RunReport, SDEEngine
+from .engine import RunReport, SDEEngine, capture_snapshot, restore_snapshot
 from .partition import (
     Partition,
     lpt_assign,
@@ -114,13 +112,8 @@ __all__ = [
     "DistributedRunner",
     "InlineTransport",
     "MultiprocessTransport",
-    "PathPrefix",
     "Transport",
-    "WorkerResult",
-    "WorkerTask",
     "deepen_until_partitioned",
-    "restore_worker_engine",
-    "snapshot_assignment_tasks",
 ]
 
 #: Events between a worker's steal-request polls.  Each poll is one
@@ -141,246 +134,26 @@ DEFAULT_PROBE_LIMIT_EVENTS = 4096
 STEAL_RETRY_COOLDOWN_SECONDS = 0.5
 
 
-class WorkerTask:
-    """Everything one worker needs to resume its partitions — picklable.
+def _job(engine: SDEEngine, bundle: Sequence[Partition]) -> Tuple[bytes, int]:
+    """One partition bundle as a job: its pickled snapshot and state count.
 
-    All engine value-options travel as one :class:`EngineConfig`
-    (already stripped to its worker variant: no checkpointing, no
-    invariant re-checks); the remaining slots are the execution frontier.
+    The state count is all the coordinator knows of a job without
+    unpickling it — enough to meter steals and describe failures.
     """
-
-    __slots__ = (
-        "index",
-        "algorithm",
-        "program",
-        "topology",
-        "config",
-        "mapper_payload",
-        "scheduler_entries",
-        "clock_now",
-        "state_watermark",
-        "packet_watermark",
-        "broadcast_watermark",
-        "trace",
+    return (
+        pickle.dumps(capture_snapshot(engine, bundle)),
+        sum(p.state_count() for p in bundle),
     )
 
-    def __init__(self, **fields) -> None:
-        for slot in self.__slots__:
-            setattr(self, slot, fields.pop(slot))
-        if fields:
-            raise TypeError(f"unknown WorkerTask fields {sorted(fields)}")
 
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-
-class WorkerResult:
-    """One worker's contribution to the merged report — picklable."""
-
-    __slots__ = (
-        "index",
-        "runtime_seconds",
-        "virtual_ms",
-        "events_executed",
-        "instructions",
-        "total_states",
-        "active_states",
-        "error_states",
-        "group_count",
-        "mapping_stats",
-        "solver_queries",
-        "accounted_bytes",
-        "census",
-        "aborted",
-        "abort_reason",
-        "cache_stats",
-        "solver_stats",
-        "net_stats",
-        "reduce_stats",
-        "phases",
-        "histograms",
-        "events",
-    )
-
-    def __init__(
-        self,
-        task: WorkerTask,
-        report: RunReport,
-        census: Dict[int, int],
-        events: Optional[List[dict]] = None,
-    ):
-        self.index = task.index
-        self.runtime_seconds = report.runtime_seconds
-        self.virtual_ms = report.virtual_ms
-        self.events_executed = report.events_executed
-        self.instructions = report.instructions
-        self.total_states = report.total_states
-        self.active_states = report.active_states
-        self.error_states = list(report.error_states)
-        self.group_count = report.group_count
-        self.mapping_stats = dict(report.mapping_stats)
-        self.solver_queries = report.solver_queries
-        self.accounted_bytes = report.accounted_bytes
-        self.census = dict(census)
-        self.aborted = report.aborted
-        self.abort_reason = report.abort_reason
-        self.cache_stats = report.cache_stats
-        self.solver_stats = dict(report.solver_stats)
-        self.net_stats = dict(report.net_stats)
-        self.reduce_stats = dict(getattr(report, "reduce_stats", {}) or {})
-        self.phases = dict(report.phases)
-        self.histograms = dict(report.histograms)
-        self.events = list(events or [])
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-
-def restore_worker_engine(task: WorkerTask) -> SDEEngine:
-    """Build a fresh engine hosting the task's partitions, mid-run.
-
-    The engine gets its own solver and a fresh mapper of the run's
-    algorithm; the mapper payload re-installs the shipped dstates and the
-    scheduler is re-seeded with the captured ``(time, sid)`` entries in
-    their sequential pop order.  Id counters are advanced past the parent
-    run's watermarks so locally created states/packets never collide with
-    shipped ones.
-    """
-    from .scenario import make_mapper
-
-    mapper = make_mapper(task.algorithm)
-    engine = SDEEngine(
-        task.program,
-        task.topology,
-        mapper,
-        task.config,
-        trace=TraceEmitter(worker=task.index) if task.trace else None,
-    )
-    engine._started = True  # resuming: the boot states already exist
-    mapper.restore_groups(task.mapper_payload)
-    for group in mapper.groups():
-        for states in group.values():
-            for state in states:
-                engine.states[state.sid] = state
-    engine.clock.advance_to(task.clock_now)
-    for event_time, sid in task.scheduler_entries:
-        engine.scheduler.push(event_time, sid)
-    ensure_state_ids_above(task.state_watermark)
-    ensure_packet_ids_above(task.packet_watermark)
-    engine._broadcast_ids = itertools.count(task.broadcast_watermark + 1)
-    return engine
-
-
-def snapshot_assignment_tasks(
-    engine: SDEEngine, assignment: Sequence[Sequence[Partition]], trace: bool
-) -> Tuple[List[WorkerTask], Dict[int, Tuple[Tuple[int, ...], int]]]:
-    """Build one :class:`WorkerTask` per non-empty partition bundle.
-
-    The shared snapshot step of every cut: capture the scheduler order and
-    id watermarks once, then ship each bundle its mapper payload and the
-    scheduler entries of its own states.  Used both for the runner's
-    initial cut and for a donor's steal split (which is just another cut,
-    taken mid-run inside a worker).  Returns ``(tasks, task_meta)`` where
-    ``task_meta`` maps task index to ``(group_indices, state_count)`` for
-    failure records.
-    """
-    scheduler_entries = engine.scheduler_snapshot()
-    state_watermark = state_id_watermark()
-    packet_watermark = packet_id_watermark()
-    broadcast_watermark = next(engine._broadcast_ids)
-
-    tasks: List[WorkerTask] = []
-    task_meta: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-    for index, bundle in enumerate(assignment):
-        if not bundle:
-            continue  # fewer partitions than workers
-        group_indices = [
-            group_index
-            for partition in bundle
-            for group_index in partition.group_indices
-        ]
-        sids = set()
-        for partition in bundle:
-            sids.update(partition.state_sids)
-        task_meta[index] = (tuple(group_indices), len(sids))
-        tasks.append(
-            WorkerTask(
-                index=index,
-                algorithm=engine.mapper.name,
-                program=engine.program,
-                topology=engine.topology,
-                config=engine.config.worker_variant(),
-                mapper_payload=engine.mapper.snapshot_groups(group_indices),
-                scheduler_entries=[
-                    entry for entry in scheduler_entries if entry[1] in sids
-                ],
-                clock_now=engine.clock.now,
-                state_watermark=state_watermark,
-                packet_watermark=packet_watermark,
-                broadcast_watermark=broadcast_watermark,
-                trace=trace,
-            )
-        )
-    return tasks, task_meta
-
-
-class PathPrefix:
-    """Summary of the path-prefix constraints delimiting one job's subtree.
-
-    The actual constraints ship inside the job snapshot (every state
-    carries its ``ConstraintSet``); this picklable summary travels next to
-    the payload so the coordinator can log, meter, and attribute failures
-    without unpickling engine state.
-    """
-
-    __slots__ = ("depth", "groups", "states", "conjuncts")
-
-    def __init__(self, depth: int, groups: int, states: int, conjuncts: int):
-        self.depth = depth
-        self.groups = groups
-        self.states = states
-        self.conjuncts = conjuncts
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-    def __repr__(self) -> str:
-        return (
-            f"PathPrefix(depth={self.depth}, groups={self.groups},"
-            f" states={self.states}, conjuncts={self.conjuncts})"
-        )
-
-
-def _path_prefix(engine: SDEEngine, bundle: Sequence[Partition]) -> PathPrefix:
-    """Build the :class:`PathPrefix` for one bundle of partitions."""
-    sids = set()
-    groups = 0
-    for partition in bundle:
-        sids.update(partition.state_sids)
-        groups += len(partition.group_indices)
-    conjuncts = 0
-    for sid in sids:
-        state = engine.states.get(sid)
-        if state is not None:
-            conjuncts += len(state.constraints)
-    return PathPrefix(
-        depth=engine.events_executed,
-        groups=groups,
-        states=len(sids),
-        conjuncts=conjuncts,
-    )
+def _job_report(engine: SDEEngine, job_id: int) -> RunReport:
+    """A job's result: its engine's report, tagged with the job id and
+    carrying the job's trace events for the coordinator to merge."""
+    engine._sample_and_check_caps(force=True)
+    report = RunReport(engine)
+    report.job_id = job_id
+    report.trace_events = engine.trace.events if engine.trace is not None else []
+    return report
 
 
 def deepen_until_partitioned(
@@ -449,10 +222,10 @@ def deepen_until_partitioned(
 #     ("stop", )                                exit the worker loop
 #
 #   worker -> coordinator:
-#     ("done", worker, job_id, WorkerResult)    terminal result for job_id
-#     ("steal_reply", worker, job_id, partial_result, kept_payload,
-#       [(payload, PathPrefix), ...])           donor split: flow-only slice
-#                                               result + its continuation +
+#     ("done", worker, job_id, RunReport)       terminal result for job_id
+#     ("steal_reply", worker, job_id, partial_report, kept_payload,
+#       [(payload, state_count), ...])          donor split: flow-only slice
+#                                               report + its continuation +
 #                                               the stolen jobs
 #     ("steal_deny", worker, job_id)            single component, can't split
 #     ("fail", worker, job_id, WorkerFailure)   worker survived an exception
@@ -519,55 +292,46 @@ def _execute_job(
     the subtree from the kept/stolen payloads alone.
     """
     while True:
-        task: WorkerTask = pickle.loads(payload)
-        task.index = job_id  # result/trace attribution is coordinator-side
-        engine = restore_worker_engine(task)
-        image_cost = PROGRAM_IMAGE_COST_PER_INSTRUCTION * len(task.program.code)
-        stolen = None
+        snapshot = pickle.loads(payload)
+        engine = restore_snapshot(
+            snapshot, trace=TraceEmitter(worker=job_id) if snapshot.traced else None
+        )
         while True:
             target = engine.events_executed + steal_check_events
             engine.run_until(split_events=target)
             if engine.events_executed < target or engine.aborted:
-                engine._sample_and_check_caps(force=True)
-                events = engine.trace.events if engine.trace is not None else []
-                result = WorkerResult(
-                    task, RunReport(engine), engine.state_census(), events
-                )
-                send(("done", worker_index, job_id, result))
+                send(("done", worker_index, job_id, _job_report(engine, job_id)))
                 return
             if poll_steal is not None and poll_steal():
-                stolen = _split_for_steal(engine, task, job_id, image_cost)
-                if stolen is None:
+                split = _split_for_steal(engine, job_id)
+                if split is None:
                     send(("steal_deny", worker_index, job_id))
                     continue
-                partial, kept_payload, stolen_jobs = stolen
+                partial, payload, stolen_jobs = split
                 send(
                     (
                         "steal_reply",
                         worker_index,
                         job_id,
                         partial,
-                        kept_payload,
+                        payload,
                         stolen_jobs,
                     )
                 )
-                payload = kept_payload
                 break  # restart from the kept half
-        if stolen is None:  # pragma: no cover - defensive
-            return
 
 
 def _split_for_steal(
-    engine: SDEEngine, task: WorkerTask, job_id: int, image_cost: int
-) -> Optional[Tuple[WorkerResult, bytes, List[Tuple[bytes, PathPrefix]]]]:
+    engine: SDEEngine, job_id: int
+) -> Optional[Tuple[RunReport, bytes, List[Tuple[bytes, int]]]]:
     """Split a running engine in half; ``None`` when it cannot be split.
 
-    Returns ``(partial_result, kept_payload, stolen_jobs)``.  The partial
-    result covers the donor's slice up to this boundary with *flow*
+    Returns ``(partial_report, kept_payload, stolen_jobs)``.  The partial
+    report covers the donor's slice up to this boundary with *flow*
     counters only: its stock totals are zeroed (and ``accounted_bytes``
     set to the shared-image sentinel) because every state lives on in
-    exactly one of the kept/stolen payloads, whose terminal results will
-    report them.
+    exactly one of the kept/stolen payloads, whose terminal reports will
+    count them.
     """
     partitions = partition_groups(engine.mapper)
     runnable = {sid for _, sid in engine.scheduler_snapshot()}
@@ -585,22 +349,18 @@ def _split_for_steal(
     if not kept or not given:
         return None
     kept = kept + [p for p in partitions if not (p.state_sids & runnable)]
-    tasks, _ = snapshot_assignment_tasks(engine, [kept, given], trace=task.trace)
-    if len(tasks) < 2:  # pragma: no cover - steal_split guarantees both
-        return None
-    engine._sample_and_check_caps(force=True)
-    events = engine.trace.events if engine.trace is not None else []
-    partial = WorkerResult(task, RunReport(engine), {}, events)
+    kept_payload, _ = _job(engine, kept)
+    stolen_jobs = [_job(engine, given)]
+    partial = _job_report(engine, job_id)
     partial.total_states = 0
     partial.active_states = 0
     partial.group_count = 0
     partial.error_states = []
     partial.census = {}
-    partial.accounted_bytes = image_cost
-    stolen_jobs = [
-        (pickle.dumps(job), _path_prefix(engine, given)) for job in tasks[1:]
-    ]
-    return partial, pickle.dumps(tasks[0]), stolen_jobs
+    partial.accounted_bytes = PROGRAM_IMAGE_COST_PER_INSTRUCTION * len(
+        engine.program.code
+    )
+    return partial, kept_payload, stolen_jobs
 
 
 def _job_worker_main(
@@ -779,11 +539,22 @@ class InlineTransport(Transport):
             return
         _, job_id, payload, attempt = message
         try:
-            _execute_job(0, job_id, payload, self._replies.append, None, 1)
+            self._replies.append(("done", 0, job_id, self.run_job(job_id, payload)))
         except BaseException as exc:
             self._replies.append(
                 ("fail", 0, job_id, failure_from_exception(exc, job_id))
             )
+
+    @staticmethod
+    def run_job(job_id: int, payload: bytes) -> RunReport:
+        """Run one job to completion in this process; raises on failure.
+
+        Also the coordinator's in-process final attempt at a job.  Nothing
+        polls for steals, so the job runs as one slice.
+        """
+        replies: List[tuple] = []
+        _execute_job(0, job_id, payload, replies.append, None, sys.maxsize)
+        return replies[-1][3]
 
     def recv(self, timeout: float) -> Optional[tuple]:
         if self._replies:
@@ -835,15 +606,16 @@ class _Coordinator:
     crash/exception failures (timeouts keep retrying in a subprocess), and
     ``allow_partial`` degrading exhausted jobs to report entries instead
     of raising.  Completed jobs survive another job's failure.
-    ``group_indices`` maps the initial cut's job ids to the mapper groups
-    they carry, so a failure record names enough to rerun the job; jobs
-    split off by a steal carry their state count only.
+    ``jobs`` are ``(payload, state_count)`` pairs.  ``group_indices`` maps
+    the initial cut's job ids to the mapper groups they carry, so a
+    failure record names enough to rerun the job; jobs split off by a
+    steal carry their state count only.
     """
 
     def __init__(
         self,
         transport: Transport,
-        jobs: List[Tuple[bytes, PathPrefix]],
+        jobs: List[Tuple[bytes, int]],
         policy: RetryPolicy,
         steal: bool,
         run_inline,
@@ -860,13 +632,13 @@ class _Coordinator:
         self.sleep = sleep
 
         self.payloads: Dict[int, bytes] = {}
-        self.prefixes: Dict[int, PathPrefix] = {}
+        self.state_counts: Dict[int, int] = {}
         self._next_job_id = 0
-        for payload, prefix in jobs:
-            self._enqueue_new(payload, prefix)
+        for payload, state_count in jobs:
+            self._enqueue_new(payload, state_count)
         self.pending: deque = deque(sorted(self.payloads))
         self.attempts: Dict[int, int] = {}
-        self.results: List[WorkerResult] = []
+        self.results: List[RunReport] = []
         self.failed: List[WorkerFailure] = []
         self.retries = 0
         self.steal_stats = StealStats()
@@ -899,11 +671,11 @@ class _Coordinator:
 
     # -- internals ----------------------------------------------------------
 
-    def _enqueue_new(self, payload: bytes, prefix: PathPrefix) -> int:
+    def _enqueue_new(self, payload: bytes, state_count: int) -> int:
         job_id = self._next_job_id
         self._next_job_id += 1
         self.payloads[job_id] = payload
-        self.prefixes[job_id] = prefix
+        self.state_counts[job_id] = state_count
         return job_id
 
     def _dispatch(self, idle: set) -> None:
@@ -983,11 +755,10 @@ class _Coordinator:
                     _time.monotonic() + self.policy.task_timeout_seconds
                 )
             moved = 0
-            for payload, prefix in stolen_jobs:
-                self._enqueue_new(payload, prefix)
-                self.pending.append(self._next_job_id - 1)
+            for payload, state_count in stolen_jobs:
+                self.pending.append(self._enqueue_new(payload, state_count))
                 self._outstanding += 1
-                moved += prefix.states
+                moved += state_count
             if self.trace is not None:
                 self.trace.emit("worker.steal.grant", job=job_id, states=moved)
         elif tag == "steal_deny":
@@ -1079,9 +850,8 @@ class _Coordinator:
 
     def _describe_job(self, job_id: int, failure: WorkerFailure) -> None:
         """Attach what is known about the job's subtree to ``failure``."""
-        prefix = self.prefixes.get(job_id)
-        if not failure.state_count and prefix is not None:
-            failure.state_count = prefix.states
+        if not failure.state_count:
+            failure.state_count = self.state_counts.get(job_id, 0)
         if not failure.group_indices:
             failure.group_indices = self.group_indices.get(job_id, ())
 
@@ -1109,16 +879,6 @@ class _Coordinator:
         raise_worker_failure(failure)
 
 
-def _run_job_inline(job_id: int, payload: bytes) -> WorkerResult:
-    """The coordinator's in-process final attempt at a job."""
-    replies: List[tuple] = []
-    _execute_job(0, job_id, payload, replies.append, None, 1)
-    message = replies[-1]
-    if message[0] != "done":  # pragma: no cover - _execute_job raises instead
-        raise RuntimeError(f"inline job ended with {message[0]!r}")
-    return message[3]
-
-
 # ---------------------------------------------------------------------------
 # Runner + report
 # ---------------------------------------------------------------------------
@@ -1132,27 +892,26 @@ def _sum_dicts(parts: Sequence[Dict[str, int]]) -> Dict[str, int]:
     return merged
 
 
-class DistributedReport:
-    """Merged report of a multi-process run; duck-types :class:`RunReport`.
+class DistributedReport(RunReport):
+    """Merged report of a multi-process run.
 
-    All `RunReport` consumers (``BenchRow``, ``render_table1``,
-    ``report_to_dict``/``save_report``) work unchanged on instances of
-    this class.  The semantic totals are pinned identical to the
+    Built from the run reports of the prefix and of every job rather
+    than from an engine.  The semantic totals are pinned identical to the
     sequential run for any worker count and any steal timing (see the
     module docstring).  The multi-process extras are ``workers``,
-    ``worker_results``, ``prefix_events``, ``split_ms`` (the time cut, or
-    ``None``), ``partition_depth`` (the cut, in executed events),
-    ``partition_count``, ``projected`` (the LPT-projected speedup),
-    ``jobs_dispatched``, the ``steals_*`` counters and the resilience
-    status (``retries``, ``failed_partitions``, ``partial``).
+    ``worker_results`` (the jobs' reports), ``prefix_events``,
+    ``split_ms`` (the time cut, or ``None``), ``partition_depth`` (the
+    cut, in executed events), ``partition_count``, ``projected`` (the
+    LPT-projected speedup), ``jobs_dispatched``, the ``steals_*``
+    counters, ``transport_name`` and the resilience status (``retries``,
+    ``failed_partitions``, ``partial``).
     """
 
     def __init__(
         self,
         *,
         prefix: RunReport,
-        prefix_census: Dict[int, int],
-        worker_results: List[WorkerResult],
+        worker_results: List[RunReport],
         image_cost: int,
         partitions: List[Partition],
         workers: int,
@@ -1187,8 +946,8 @@ class DistributedReport:
         self.failed_partitions = list(failed_partitions)
         self.retries = retries
         self.partial = bool(self.failed_partitions)
-        self.checkpoints_written = getattr(prefix, "checkpoints_written", 0)
-        self.resumed = getattr(prefix, "resumed", False)
+        self.checkpoints_written = prefix.checkpoints_written
+        self.resumed = prefix.resumed
 
         results = self.worker_results
         self.aborted = prefix.aborted or any(w.aborted for w in results)
@@ -1208,7 +967,7 @@ class DistributedReport:
             self.accounted_bytes = image_cost + sum(
                 w.accounted_bytes - image_cost for w in results
             )
-            self.census = {node: 0 for node in prefix_census}
+            self.census = {node: 0 for node in prefix.census}
             for worker in results:
                 for node, count in worker.census.items():
                     self.census[node] = self.census.get(node, 0) + count
@@ -1220,7 +979,7 @@ class DistributedReport:
             self.group_count = prefix.group_count
             self.error_states = list(prefix.error_states)
             self.accounted_bytes = prefix.accounted_bytes
-            self.census = dict(prefix_census)
+            self.census = dict(prefix.census)
         self.events_executed = prefix.events_executed + sum(
             w.events_executed for w in results
         )
@@ -1255,8 +1014,7 @@ class DistributedReport:
         )
         self.net_stats = _sum_dicts([prefix.net_stats] + [w.net_stats for w in results])
         self.reduce_stats = _sum_dicts(
-            [getattr(prefix, "reduce_stats", {}) or {}]
-            + [getattr(w, "reduce_stats", {}) or {} for w in results]
+            [prefix.reduce_stats] + [w.reduce_stats for w in results]
         )
         cache_parts = [
             part
@@ -1285,56 +1043,28 @@ class DistributedReport:
         )
         self.metrics = report_snapshot(self)
 
-    # -- RunReport duck-typing ------------------------------------------------
-
-    def peak_states(self) -> int:
-        return max((s.total_states for s in self.samples), default=self.total_states)
-
-    def peak_accounted_bytes(self) -> int:
-        return max((s.accounted_bytes for s in self.samples), default=0)
-
-    def state_census(self) -> Dict[int, int]:
-        return dict(self.census)
-
     def summary(self) -> str:
-        status = "ABORTED" if self.aborted else "completed"
+        headline, _, totals = super().summary().partition("\n")
         cut = (
             f"{self.split_ms} ms"
             if self.split_ms is not None
             else f"{self.partition_depth} events"
         )
-        lines = [
-            f"[{self.algorithm}] {status} after {self.runtime_seconds:.2f}s"
-            f" on {self.workers} workers"
-            + (f" ({self.abort_reason})" if self.aborted else ""),
-            f"  split point      : {cut}"
-            f" ({self.prefix_events} prefix events,"
-            f" {self.transport_name} transport)",
-            f"  partitions       : {self.partition_count}"
-            f" (projected speedup x{self.projected:.2f})",
-            f"  jobs dispatched  : {self.jobs_dispatched}",
-            f"  steals           : {self.steals_granted} granted"
-            f" / {self.steals_denied} denied"
-            f" / {self.steals_requested} requested",
-            f"  virtual time     : {self.virtual_ms} ms",
-            f"  events executed  : {self.events_executed}",
-            f"  instructions     : {self.instructions}",
-            f"  states (total)   : {self.total_states}",
-            f"  dscenarios/dstates: {self.group_count}",
-            f"  accounted memory : {self.accounted_bytes / 1e6:.2f} MB",
-            f"  error states     : {len(self.error_states)}",
-            f"  solver queries   : {self.solver_queries}",
-        ]
-        if self.retries:
-            lines.append(f"  worker retries   : {self.retries}")
-        if self.partial:
-            lines.append(
-                f"  PARTIAL: {len(self.failed_partitions)} partition(s)"
-                " failed after retries"
-            )
-            for failure in self.failed_partitions:
-                lines.append(f"    - {failure.describe()}")
-        return "\n".join(lines)
+        return "\n".join(
+            [
+                headline,
+                f"  workers          : {self.workers}"
+                f" ({self.transport_name} transport)",
+                f"  split point      : {cut} ({self.prefix_events} prefix events)",
+                f"  partitions       : {self.partition_count}"
+                f" (projected speedup x{self.projected:.2f})",
+                f"  jobs dispatched  : {self.jobs_dispatched}",
+                f"  steals           : {self.steals_granted} granted"
+                f" / {self.steals_denied} denied"
+                f" / {self.steals_requested} requested",
+                totals,
+            ]
+        )
 
     def __repr__(self) -> str:
         return (
@@ -1434,25 +1164,17 @@ class DistributedRunner:
         partitions = self._cut(engine)
         engine._sample_and_check_caps(force=True)
         prefix = RunReport(engine)
-        prefix_census = engine.state_census()
 
-        jobs: List[Tuple[bytes, PathPrefix]] = []
-        task_meta: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+        assignment: List[List[Partition]] = []
         if not engine.aborted and engine.scheduler_snapshot():
             assignment = [
                 bundle
                 for bundle in lpt_assign(partitions, self.workers)
                 if bundle
             ]
-            tasks, task_meta = snapshot_assignment_tasks(
-                engine, assignment, trace=self.trace is not None
-            )
-            jobs = [
-                (pickle.dumps(task), _path_prefix(engine, bundle))
-                for task, bundle in zip(tasks, assignment)
-            ]
         else:
             partitions = []
+        jobs = [_job(engine, bundle) for bundle in assignment]
         if jobs and self.trace is not None:
             self.trace.emit(
                 "worker.partition.start",
@@ -1470,27 +1192,29 @@ class DistributedRunner:
                     start_method=self.start_method,
                     steal_check_events=self.steal_check_events,
                 )
-        # Initial jobs are numbered in assignment order, as are the tasks.
+        # Initial jobs are numbered in assignment order.
         coordinator = _Coordinator(
             transport,
             jobs,
             policy=self.retry_policy,
             steal=self.steal,
-            run_inline=_run_job_inline,
+            run_inline=InlineTransport.run_job,
             trace=self.trace,
             group_indices={
-                index: groups for index, (groups, _) in task_meta.items()
+                job_id: tuple(i for p in bundle for i in p.group_indices)
+                for job_id, bundle in enumerate(assignment)
             },
         )
         coordinator.run()
-        results = sorted(coordinator.results, key=lambda w: (w.index, -w.total_states))
+        results = sorted(
+            coordinator.results, key=lambda w: (w.job_id, -w.total_states)
+        )
         if self.trace is not None:
             for worker in results:
-                self.trace.extend(worker.events)
+                self.trace.extend(worker.trace_events)
             self.trace.emit("worker.merge", workers=len(results))
         return DistributedReport(
             prefix=prefix,
-            prefix_census=prefix_census,
             worker_results=results,
             image_cost=(
                 PROGRAM_IMAGE_COST_PER_INSTRUCTION * len(engine.program.code)

@@ -16,19 +16,24 @@ This module is exactly that loop:
 - transmissions routed through the pluggable state mapper;
 - growth sampling, state/memory/runtime caps (the paper aborts COB at the
   machine's memory limit — the caps reproduce that behaviour), and a final
-  run report.
+  run report;
+- the one serialization of a mid-run engine (:class:`EngineSnapshot`,
+  :func:`capture_snapshot`, :func:`restore_snapshot`), shared by
+  checkpoints (:mod:`repro.core.resilience`) and distributed jobs
+  (:mod:`repro.core.distributed`).
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
-from typing import Dict, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..lang.bytecode import CompiledProgram
 from ..lang.compiler import compile_source
 from ..net.medium import make_medium
-from ..net.packet import Packet
+from ..net.packet import Packet, ensure_packet_ids_above, packet_id_watermark
 from ..net.topology import Topology
 from ..obs.events import TraceEmitter
 from ..obs.metrics import report_snapshot
@@ -36,15 +41,29 @@ from ..obs.profile import PhaseProfiler
 from ..oslib.kernel import HANDLER_BOOT, HANDLER_RECV, HANDLER_TIMER, NodeOS
 from ..sim.clock import VirtualClock
 from ..sim.queue import EventQueue
-from ..solver import Solver
+from ..solver import CacheStats, Solver
 from ..vm.executor import Executor
-from ..vm.state import CellValue, Event, ExecutionState, Status
+from ..vm.state import (
+    CellValue,
+    Event,
+    ExecutionState,
+    Status,
+    ensure_state_ids_above,
+    state_id_watermark,
+)
 from .config import EngineConfig
 from .mapping import StateMapper
 from .reduce import StateReducer
 from .stats import Sample, StatsRecorder
 
-__all__ = ["SDEEngine", "RunReport", "PresetValue"]
+__all__ = [
+    "EngineSnapshot",
+    "PresetValue",
+    "RunReport",
+    "SDEEngine",
+    "capture_snapshot",
+    "restore_snapshot",
+]
 
 # A preset global: one value for all nodes, or an explicit per-node mapping.
 PresetValue = Union[int, Dict[int, int]]
@@ -56,7 +75,19 @@ STATE_HEAP_GC_THRESHOLD = 50_000
 
 
 class RunReport:
-    """Everything a benchmark or test wants to know about one SDE run."""
+    """Everything a benchmark or test wants to know about one SDE run.
+
+    A distributed job's result is one of these too; the merged report of
+    a multi-process run is its subclass
+    :class:`~repro.core.distributed.DistributedReport`.
+    """
+
+    # -- multi-process status: a sequential run has no workers, retries
+    # or failed partitions (DistributedReport sets all four) ---------------
+    workers = 0
+    partial = False
+    retries = 0
+    failed_partitions: Sequence = ()
 
     def __init__(self, engine: "SDEEngine") -> None:
         self.algorithm = engine.mapper.name
@@ -70,6 +101,7 @@ class RunReport:
         self.error_states = [
             s for s in engine.states.values() if s.status == Status.ERROR
         ]
+        self.census = engine.state_census()
         self.group_count = engine.mapper.group_count()
         self.mapping_stats = engine.mapper.stats.as_dict()
         self.solver_queries = engine.solver.queries
@@ -85,8 +117,8 @@ class RunReport:
             "solver.query.conjuncts": engine.solver.conjunct_histogram.data(),
         }
         # -- resilience extras ---------------------------------------------
-        self.checkpoints_written = getattr(engine, "checkpoints_written", 0)
-        self.resumed = getattr(engine, "resumed", False)
+        self.checkpoints_written = engine.checkpoints_written
+        self.resumed = engine.resumed
         # -- symmetry/POR reduction (repro.core.reduce) ---------------------
         self.reduce_stats = (
             engine.reducer.stats_dict() if engine.reducer is not None else {}
@@ -98,6 +130,10 @@ class RunReport:
 
     def peak_accounted_bytes(self) -> int:
         return max((s.accounted_bytes for s in self.samples), default=0)
+
+    def state_census(self) -> Dict[int, int]:
+        """States per node at the end of the run."""
+        return dict(self.census)
 
     def summary(self) -> str:
         status = "ABORTED" if self.aborted else "completed"
@@ -113,6 +149,15 @@ class RunReport:
             f"  error states     : {len(self.error_states)}",
             f"  solver queries   : {self.solver_queries}",
         ]
+        if self.retries:
+            lines.append(f"  worker retries   : {self.retries}")
+        if self.partial:
+            lines.append(
+                f"  PARTIAL: {len(self.failed_partitions)} partition(s)"
+                " failed after retries"
+            )
+            for failure in self.failed_partitions:
+                lines.append(f"    - {failure.describe()}")
         for name, data in self.phases.items():
             lines.append(
                 f"  phase {name:<11}: {data['seconds']:.3f}s"
@@ -125,6 +170,166 @@ class RunReport:
             f"RunReport({self.algorithm}, states={self.total_states},"
             f" groups={self.group_count}, aborted={self.aborted})"
         )
+
+
+@dataclass
+class EngineSnapshot:
+    """A mid-run engine as picklable data: the one engine serialization.
+
+    Taken between events, where every state is quiescent and the
+    scheduler entries (one per runnable state, in pop order) reproduce the
+    sequential scheduling exactly.  It holds the run's inputs (algorithm,
+    program, topology, config), the frontier of the captured groups (the
+    mapper payload — every state carries its own path constraints — plus
+    scheduler entries and clock) and the id watermarks, so a restored
+    engine never reuses an id.
+
+    A *job* snapshot (a distributed partition bundle) stops there: the
+    merge re-adds the prefix counters, and the restored reducer seeds
+    itself from the shipped states.  A *whole* snapshot (every group — a
+    checkpoint) also carries ``baselines``: the counters, samples, phases
+    and trace so far, and the symmetry/POR reducer's search state, so the
+    resumed run's report equals the uninterrupted run's.
+
+    The snapshot references live engine objects; pickle it before the
+    engine runs on.
+    """
+
+    algorithm: str
+    program: CompiledProgram
+    topology: Topology
+    config: EngineConfig
+    mapper_payload: object
+    scheduler_entries: List[Tuple[int, int]]
+    clock_now: int
+    state_watermark: int
+    packet_watermark: int
+    broadcast_watermark: int
+    traced: bool
+    baselines: Optional[dict] = None
+
+
+def capture_snapshot(engine: "SDEEngine", partitions=None) -> EngineSnapshot:
+    """Snapshot ``engine`` between events, allocating no ids.
+
+    ``partitions`` (a bundle of :class:`~repro.core.partition.Partition`)
+    makes a job snapshot of just those groups, under the config's worker
+    variant; ``None`` makes a whole snapshot with baselines, under the
+    config minus its checkpoint cadence (a resumed run only checkpoints
+    if the caller re-enables it).
+    """
+    mapper = engine.mapper
+    entries = engine.scheduler_snapshot()
+    broadcast_watermark = next(engine._broadcast_ids) - 1
+    engine._broadcast_ids = itertools.count(broadcast_watermark + 1)
+    baselines = None
+    if partitions is None:
+        groups: Sequence[int] = range(mapper.group_count())
+        config = engine.config.replace(
+            checkpoint_path=None,
+            checkpoint_every_events=None,
+            checkpoint_every_seconds=None,
+        )
+        reducer = engine.reducer
+        baselines = {
+            "events_executed": engine.events_executed,
+            "instructions": engine.executor.instructions_executed,
+            "solver_queries": engine.solver.queries,
+            "solver_stats": engine.solver.stats_dict(),
+            "conjunct_histogram": engine.solver.conjunct_histogram,
+            "cache_stats": engine.solver.cache_stats(),
+            "mapping_stats": mapper.stats.as_dict(),
+            "net_stats": engine.medium.stats_dict(),
+            "phases": engine.profiler.snapshot(),
+            "samples": list(engine.stats.samples),
+            "checkpoints_written": engine.checkpoints_written,
+            "trace_events": list(engine.trace.events)
+            if engine.trace is not None
+            else [],
+            "reducer": (reducer.seen, reducer.delivery_seen, reducer.stats)
+            if reducer is not None
+            else None,
+        }
+    else:
+        groups = [index for p in partitions for index in p.group_indices]
+        sids = set().union(*(p.state_sids for p in partitions))
+        entries = [entry for entry in entries if entry[1] in sids]
+        config = engine.config.worker_variant()
+    return EngineSnapshot(
+        algorithm=mapper.name,
+        program=engine.program,
+        topology=engine.topology,
+        config=config,
+        mapper_payload=mapper.snapshot_groups(groups),
+        scheduler_entries=entries,
+        clock_now=engine.clock.now,
+        state_watermark=state_id_watermark(),
+        packet_watermark=packet_id_watermark(),
+        broadcast_watermark=broadcast_watermark,
+        traced=engine.trace is not None,
+        baselines=baselines,
+    )
+
+
+def restore_snapshot(
+    snapshot: EngineSnapshot, trace: Optional[TraceEmitter] = None
+) -> "SDEEngine":
+    """A fresh engine continuing ``snapshot`` where it was taken.
+
+    The engine gets its own solver and a fresh mapper that re-installs the
+    shipped groups; the scheduler is re-seeded in the captured pop order
+    and id counters move past the watermarks.  A whole snapshot's
+    baselines are installed in place, and its trace so far is replayed
+    into ``trace``.
+    """
+    from .scenario import make_mapper
+
+    mapper = make_mapper(snapshot.algorithm)
+    engine = SDEEngine(
+        snapshot.program, snapshot.topology, mapper, snapshot.config, trace=trace
+    )
+    engine._started = True  # the boot states live in the snapshot
+    mapper.restore_groups(snapshot.mapper_payload)
+    for group in mapper.groups():
+        for states in group.values():
+            for state in states:
+                engine.states[state.sid] = state
+    engine.clock.advance_to(snapshot.clock_now)
+    for event_time, sid in snapshot.scheduler_entries:
+        engine.scheduler.push(event_time, sid)
+    ensure_state_ids_above(snapshot.state_watermark)
+    ensure_packet_ids_above(snapshot.packet_watermark)
+    engine._broadcast_ids = itertools.count(snapshot.broadcast_watermark + 1)
+    baselines = snapshot.baselines
+    if baselines is None:
+        return engine
+    engine.events_executed = baselines["events_executed"]
+    engine.executor.instructions_executed = baselines["instructions"]
+    solver = engine.solver
+    solver.queries = baselines["solver_queries"]
+    solver.restore_stats(baselines["solver_stats"])
+    solver.conjunct_histogram = baselines["conjunct_histogram"]
+    if baselines["cache_stats"] and solver._cache is not None:
+        solver._cache.stats = CacheStats.restore(baselines["cache_stats"])
+    for slot, value in baselines["mapping_stats"].items():
+        setattr(mapper.stats, slot, value)
+    engine.medium.restore_stats(baselines["net_stats"])
+    for name, data in baselines["phases"].items():
+        phase = engine.profiler.phase(name)
+        phase.count = data["count"]
+        phase.seconds = data["seconds"]
+    samples = baselines["samples"]
+    engine.stats.restore(samples, samples[-1].events_executed if samples else -1)
+    engine.checkpoints_written = baselines["checkpoints_written"]
+    engine.resumed = True
+    if engine.reducer is not None and baselines["reducer"] is not None:
+        reducer = engine.reducer
+        reducer.seen, reducer.delivery_seen, reducer.stats = baselines["reducer"]
+        reducer.seeded = True  # covered already: run_until must not re-seed
+    if trace is not None:
+        trace.extend(baselines["trace_events"])
+        trace.emit("checkpoint.resume", events=engine.events_executed)
+    return engine
 
 
 class SDEEngine:

@@ -53,13 +53,12 @@ def report_to_dict(report: RunReport, include_series: bool = True) -> Dict:
         # Additive in schema 1: resilience status (docs/RESILIENCE.md) —
         # partial runs list the partitions that exhausted their retries
         # with enough information to rerun them.
-        "partial": bool(getattr(report, "partial", False)),
-        "resumed": bool(getattr(report, "resumed", False)),
-        "checkpoints_written": getattr(report, "checkpoints_written", 0),
-        "retries": getattr(report, "retries", 0),
+        "partial": report.partial,
+        "resumed": report.resumed,
+        "checkpoints_written": report.checkpoints_written,
+        "retries": report.retries,
         "failed_partitions": [
-            failure.as_dict()
-            for failure in getattr(report, "failed_partitions", ())
+            failure.as_dict() for failure in report.failed_partitions
         ],
         "errors": [
             {

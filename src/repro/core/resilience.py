@@ -18,25 +18,25 @@ modes dominate; this module holds the shared vocabulary for each:
    ``allow_partial`` the run degrades gracefully: exhausted jobs are
    reported (with enough information to rerun them) instead of aborting
    the whole run.
-3. **Run loss** — :func:`save_checkpoint` serializes a mid-run engine
-   (mapper payload, scheduler entries, id watermarks, counters, metrics
-   baselines, trace position) to disk atomically with a versioned header
-   and an integrity checksum; :func:`resume_engine` rebuilds the engine
-   so the completed run's report is identical to an uninterrupted one on
-   every deterministic field.
+3. **Run loss** — :func:`save_checkpoint` writes a whole-engine
+   :class:`~repro.core.engine.EngineSnapshot` (frontier, id watermarks,
+   counter baselines, trace so far, reducer search state) to disk
+   atomically, behind a versioned header with an integrity checksum;
+   :func:`resume_engine` loads it, applies config overrides and restores
+   it, so the completed run's report is identical to an uninterrupted one
+   on every deterministic field.
 
-The checkpoint payload deliberately reuses the picklable snapshot
-machinery built for multi-process execution (``snapshot_groups`` /
-``restore_groups``, scheduler snapshots, id watermarks): a checkpoint is
-morally a :class:`~repro.core.distributed.WorkerTask` covering *all*
-partitions, plus the counter baselines a worker does not need because the
-merge re-adds them.
+A checkpoint and a distributed job are the same serialization
+(:func:`~repro.core.engine.capture_snapshot` /
+:func:`~repro.core.engine.restore_snapshot`): a checkpoint is the
+snapshot of every group plus the baselines a job does not need because
+the distributed merge re-adds them.  This module owns only the file
+format around it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import pickle
@@ -46,6 +46,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..obs.fileio import atomic_write_bytes
+from .config import split_config_overrides
+from .engine import EngineSnapshot, capture_snapshot, restore_snapshot
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -53,7 +55,7 @@ __all__ = [
     "CheckpointError",
     "RetryPolicy",
     "WorkerFailure",
-    "WorkerTaskError",
+    "WorkerFailureError",
     "chaos_kill_probability",
     "chaos_kill_requested",
     "failure_from_exception",
@@ -174,7 +176,7 @@ def failure_from_exception(
     )
 
 
-class WorkerTaskError(RuntimeError):
+class WorkerFailureError(RuntimeError):
     """A partition exhausted its retries (and the run is not --allow-partial).
 
     ``failure`` is the final :class:`WorkerFailure`; the original worker
@@ -194,8 +196,8 @@ class _RemoteTraceback(Exception):
 
 
 def raise_worker_failure(failure: WorkerFailure) -> None:
-    """Raise :class:`WorkerTaskError`, chaining the worker traceback."""
-    error = WorkerTaskError(failure)
+    """Raise :class:`WorkerFailureError`, chaining the worker traceback."""
+    error = WorkerFailureError(failure)
     if failure.traceback:
         raise error from _RemoteTraceback(failure.traceback)
     raise error
@@ -303,76 +305,14 @@ CHECKPOINT_MAGIC = b"SDECKPT"
 # Version 3: EngineConfig gained medium/medium_params and ExecutionState
 # gained the link_busy slot — version-2 pickles would deserialize into
 # objects silently missing both, so they are rejected at the header.
-CHECKPOINT_VERSION = 3
+# Version 4: the body is an EngineSnapshot whose baselines carry the
+# symmetry/POR reducer's search state; a version-3 body would resume
+# without it (and so diverge), so it is rejected at the header.
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):
     """The checkpoint file is missing, corrupt, or incompatible."""
-
-
-def _engine_payload(engine) -> dict:
-    """Everything needed to rebuild ``engine`` mid-run, picklable."""
-    mapper = engine.mapper
-    return {
-        # -- construction parameters --------------------------------------
-        "algorithm": mapper.name,
-        "program": engine.program,
-        "topology": engine.topology,
-        # Checkpoint cadence is NOT inherited: the resumed run only
-        # checkpoints if the caller re-enables it via overrides (the CLI's
-        # --resume does), so a resume into a different path can't silently
-        # keep overwriting the original file.
-        "config": engine.config.replace(
-            checkpoint_path=None,
-            checkpoint_every_events=None,
-            checkpoint_every_seconds=None,
-        ),
-        # -- execution frontier ------------------------------------------
-        "mapper_payload": mapper.snapshot_groups(range(mapper.group_count())),
-        "scheduler_entries": engine.scheduler_snapshot(),
-        "clock_now": engine.clock.now,
-        "state_watermark": _state_watermark(),
-        "packet_watermark": _packet_watermark(),
-        "broadcast_watermark": next(engine._broadcast_ids),
-        # -- counter baselines (so the resumed report matches) -----------
-        "events_executed": engine.events_executed,
-        "instructions": engine.executor.instructions_executed,
-        "solver_queries": engine.solver.queries,
-        "solver_stats": engine.solver.stats_dict(),
-        "conjunct_histogram": engine.solver.conjunct_histogram.data(),
-        "mapping_stats": mapper.stats.as_dict(),
-        "net_stats": engine.medium.stats_dict(),
-        "cache_stats": engine.solver.cache_stats(),
-        "phases": engine.profiler.snapshot(),
-        "samples": list(engine.stats.samples),
-        "checkpoints_written": engine.checkpoints_written,
-        "trace_events": list(engine.trace.events)
-        if engine.trace is not None
-        else [],
-    }
-
-
-def _restore_histogram(histogram, data: dict) -> None:
-    """Load a :meth:`Histogram.data` dict back into a live histogram."""
-    if tuple(data["bounds"]) != histogram.bounds:
-        raise CheckpointError("checkpoint histogram bounds do not match this build")
-    histogram.buckets = list(data["buckets"])
-    histogram.count = data["count"]
-    histogram.total = data["total"]
-    histogram.min = data["min"]
-    histogram.max = data["max"]
-
-
-def _state_watermark() -> int:
-    from ..vm.state import state_id_watermark
-
-    return state_id_watermark()
-
-
-def _packet_watermark() -> int:
-    from ..net.packet import packet_id_watermark
-
-    return packet_id_watermark()
 
 
 def save_checkpoint(engine, path) -> dict:
@@ -383,7 +323,7 @@ def save_checkpoint(engine, path) -> dict:
     so truncated or bit-rotted checkpoints are rejected at load rather
     than producing a silently wrong resume.
     """
-    body = pickle.dumps(_engine_payload(engine), protocol=pickle.HIGHEST_PROTOCOL)
+    body = pickle.dumps(capture_snapshot(engine), protocol=pickle.HIGHEST_PROTOCOL)
     header = {
         "version": CHECKPOINT_VERSION,
         "algorithm": engine.mapper.name,
@@ -397,8 +337,8 @@ def save_checkpoint(engine, path) -> dict:
     return header
 
 
-def load_checkpoint(path) -> Tuple[dict, dict]:
-    """Read and verify a checkpoint; returns ``(header, payload)``."""
+def load_checkpoint(path) -> Tuple[dict, EngineSnapshot]:
+    """Read and verify a checkpoint; returns ``(header, snapshot)``."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -412,6 +352,8 @@ def load_checkpoint(path) -> Tuple[dict, dict]:
         header = json.loads(header_bytes)
     except ValueError as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: checkpoint version {header.get('version')!r} is not"
@@ -424,76 +366,30 @@ def load_checkpoint(path) -> Tuple[dict, dict]:
             f"{path}: integrity check failed (checkpoint truncated or"
             " corrupted)"
         )
-    return header, pickle.loads(body)
+    try:
+        snapshot = pickle.loads(body)
+    except Exception as exc:
+        raise CheckpointError(f"{path}: undecodable checkpoint body") from exc
+    if not isinstance(snapshot, EngineSnapshot) or snapshot.baselines is None:
+        raise CheckpointError(f"{path}: body is not a whole-engine snapshot")
+    return header, snapshot
 
 
 def resume_engine(path, trace=None, **engine_overrides):
     """Rebuild a mid-run engine from a checkpoint file.
 
-    The returned engine continues exactly where the checkpoint was taken:
-    same states, same scheduler order, same id watermarks, and counter
-    baselines restored in place so ``engine.run()`` yields a report whose
-    deterministic fields equal an uninterrupted run's.  ``engine_overrides``
-    may re-enable checkpointing on the resumed run (``checkpoint_path``,
-    ``checkpoint_every_events``, ...).
+    The returned engine continues exactly where the checkpoint was taken
+    (see :func:`~repro.core.engine.restore_snapshot`), so ``engine.run()``
+    yields a report whose deterministic fields equal an uninterrupted
+    run's.  ``engine_overrides`` are config fields that win over the
+    checkpointed ones: a run aborted at a cap can be resumed with the cap
+    raised (``max_states=None``), or with checkpointing re-enabled
+    (``checkpoint_path``, ``checkpoint_every_events``, ...).
     """
-    from ..net.packet import ensure_packet_ids_above
-    from ..vm.state import ensure_state_ids_above
-    from .config import split_config_overrides
-    from .engine import SDEEngine
-    from .scenario import make_mapper
-
-    _, payload = load_checkpoint(path)
-    mapper = make_mapper(payload["algorithm"])
-    config = payload["config"]
-    # Overrides win: a run aborted at a cap can be resumed with the cap
-    # raised (`resume_engine(path, max_states=None)`), or with
-    # checkpointing re-enabled on the resumed run.
+    _, snapshot = load_checkpoint(path)
     config_fields, rest = split_config_overrides(engine_overrides)
     if rest:
         raise TypeError(f"unknown engine override(s) {sorted(rest)}")
     if config_fields:
-        config = config.replace(**config_fields)
-    engine = SDEEngine(
-        payload["program"], payload["topology"], mapper, config, trace=trace
-    )
-    engine._started = True  # the boot states live in the payload
-    mapper.restore_groups(payload["mapper_payload"])
-    for group in mapper.groups():
-        for states in group.values():
-            for state in states:
-                engine.states[state.sid] = state
-    engine.clock.advance_to(payload["clock_now"])
-    for event_time, sid in payload["scheduler_entries"]:
-        engine.scheduler.push(event_time, sid)
-    ensure_state_ids_above(payload["state_watermark"])
-    ensure_packet_ids_above(payload["packet_watermark"])
-    engine._broadcast_ids = itertools.count(payload["broadcast_watermark"] + 1)
-
-    # -- counter baselines: the resumed report must equal an uninterrupted
-    # run's on every deterministic field.
-    engine.events_executed = payload["events_executed"]
-    engine.executor.instructions_executed = payload["instructions"]
-    solver = engine.solver
-    solver.queries = payload["solver_queries"]
-    solver.restore_stats(payload["solver_stats"])
-    _restore_histogram(solver.conjunct_histogram, payload["conjunct_histogram"])
-    for slot, value in payload["mapping_stats"].items():
-        setattr(mapper.stats, slot, value)
-    engine.medium.restore_stats(payload["net_stats"])
-    if payload["cache_stats"] and solver._cache is not None:
-        from ..solver import CacheStats
-
-        solver._cache.stats = CacheStats.restore(payload["cache_stats"])
-    for name, data in payload["phases"].items():
-        phase = engine.profiler.phase(name)
-        phase.count = data["count"]
-        phase.seconds = data["seconds"]
-    samples = payload["samples"]
-    engine.stats.restore(samples, samples[-1].events_executed if samples else -1)
-    engine.checkpoints_written = payload["checkpoints_written"]
-    engine.resumed = True
-    if trace is not None:
-        trace.extend(payload["trace_events"])
-        trace.emit("checkpoint.resume", events=engine.events_executed)
-    return engine
+        snapshot.config = snapshot.config.replace(**config_fields)
+    return restore_snapshot(snapshot, trace=trace)

@@ -45,12 +45,11 @@ def ensure_packet_ids_above(minimum: int) -> None:
 
 
 def packet_id_watermark() -> int:
-    """A pid bound: every pid allocated so far is <= the returned value.
-
-    Consumes one id, so only call at snapshot points; pids are opaque (only
-    equality matters), so the gap is harmless.
-    """
-    return next(_packet_ids)
+    """The highest pid allocated so far; allocates none (snapshots are pure)."""
+    global _packet_ids
+    upcoming = next(_packet_ids)
+    _packet_ids = itertools.count(upcoming)
+    return upcoming - 1
 
 
 class Packet:

@@ -226,13 +226,11 @@ class MetricsRegistry:
 
 
 def report_snapshot(report) -> dict:
-    """The metrics snapshot of one run report (sequential or parallel).
+    """The metrics snapshot of one :class:`~repro.core.engine.RunReport`.
 
-    ``report`` duck-types :class:`~repro.core.engine.RunReport`: the base
-    fields plus the observability extras (``phases``, ``cache_stats``,
-    ``solver_stats``, ``net_stats``, ``histograms``) both report classes
-    now carry.  Parallel extras (worker/partition counters) are included
-    when present.
+    The multi-process counters (``parallel.*``, ``distributed.*``) are
+    included only for a report with workers — a
+    :class:`~repro.core.distributed.DistributedReport`.
     """
     registry = MetricsRegistry()
     registry.set_label("algorithm", report.algorithm)
@@ -247,31 +245,25 @@ def report_snapshot(report) -> dict:
         "mapping.groups": report.group_count,
         "solver.queries": report.solver_queries,
     }
-    for key, value in dict(report.mapping_stats).items():
+    for key, value in report.mapping_stats.items():
         counters[f"mapping.{key}"] = value
-    for key, value in dict(getattr(report, "solver_stats", {}) or {}).items():
+    for key, value in report.solver_stats.items():
         counters[f"solver.{key}"] = value
-    cache_stats = getattr(report, "cache_stats", None)
-    if cache_stats:
-        for key, value in dict(cache_stats).items():
-            counters[f"solver.cache.{key}"] = value
-    for key, value in dict(getattr(report, "net_stats", {}) or {}).items():
+    for key, value in (report.cache_stats or {}).items():
+        counters[f"solver.cache.{key}"] = value
+    for key, value in report.net_stats.items():
         counters[f"net.{key}"] = value
-    for key, value in dict(getattr(report, "reduce_stats", {}) or {}).items():
+    for key, value in report.reduce_stats.items():
         counters[f"reduce.{key}"] = value
-    phases = getattr(report, "phases", {}) or {}
-    for name, data in phases.items():
+    for name, data in report.phases.items():
         counters[f"phase.{name}.count"] = data["count"]
-    counters["run.checkpoints_written"] = getattr(report, "checkpoints_written", 0)
-    if hasattr(report, "workers"):
+    counters["run.checkpoints_written"] = report.checkpoints_written
+    if report.workers:
         counters["parallel.workers"] = report.workers
         counters["parallel.partitions"] = report.partition_count
         counters["parallel.prefix_events"] = report.prefix_events
-        counters["parallel.retries"] = getattr(report, "retries", 0)
-        counters["parallel.failed_partitions"] = len(
-            getattr(report, "failed_partitions", ())
-        )
-    if hasattr(report, "partition_depth"):
+        counters["parallel.retries"] = report.retries
+        counters["parallel.failed_partitions"] = len(report.failed_partitions)
         counters["distributed.partition_depth"] = report.partition_depth
         counters["distributed.jobs"] = report.jobs_dispatched
         counters["distributed.steals.requested"] = report.steals_requested
@@ -289,17 +281,17 @@ def report_snapshot(report) -> dict:
         # Abort status as a gauge so dashboards can alert on it directly
         # (the "aborted" label carries the same bit as a string).
         "run.aborted": 1 if report.aborted else 0,
-        "run.partial": 1 if getattr(report, "partial", False) else 0,
-        "run.resumed": 1 if getattr(report, "resumed", False) else 0,
+        "run.partial": 1 if report.partial else 0,
+        "run.resumed": 1 if report.resumed else 0,
     }
-    for name, data in phases.items():
+    for name, data in report.phases.items():
         gauges[f"phase.{name}.seconds"] = round(data["seconds"], 6)
-    if hasattr(report, "projected"):
+    if report.workers:
         gauges["parallel.projected_speedup"] = round(report.projected, 4)
     for name, value in gauges.items():
         registry.gauge(name).set(value)
 
-    for name, data in (getattr(report, "histograms", {}) or {}).items():
+    for name, data in report.histograms.items():
         if data is not None:
             registry.install_histogram_data(name, data)
     return registry.snapshot()

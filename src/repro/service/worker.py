@@ -32,7 +32,7 @@ import os
 import pickle
 from typing import Optional
 
-from ..core.resilience import failure_from_exception, resume_engine
+from ..core.resilience import CheckpointError, failure_from_exception, resume_engine
 from ..core.scenario import build_engine
 from ..obs.events import TraceEmitter
 from .spec import SubmissionSpec
@@ -102,18 +102,25 @@ def execute_job(payload: dict) -> dict:
         payload["trace_path"], kill_after=payload.get("kill_after")
     )
     try:
-        resumed = os.path.exists(checkpoint_path)
-        if resumed:
+        engine = None
+        if os.path.exists(checkpoint_path):
             # A previous attempt (or a previous service life) left a
             # checkpoint: continue it rather than redoing the work.  The
             # resumed report is pinned equal to an uninterrupted run.
-            engine = resume_engine(
-                checkpoint_path,
-                trace=trace,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every_events=payload["checkpoint_every"],
-            )
-        else:
+            try:
+                engine = resume_engine(
+                    checkpoint_path,
+                    trace=trace,
+                    checkpoint_path=checkpoint_path,
+                    checkpoint_every_events=payload["checkpoint_every"],
+                )
+            except CheckpointError:
+                # Unreadable (corrupt, or an older format): runs are
+                # deterministic, so starting over from the spec yields
+                # the same report.
+                pass
+        resumed = engine is not None
+        if engine is None:
             scenario = spec.build_scenario()
             engine = build_engine(
                 scenario,
@@ -135,7 +142,7 @@ def execute_job(payload: dict) -> dict:
             "aborted": report.aborted,
             "abort_reason": report.abort_reason,
             "resumed": resumed,
-            "checkpoints_written": getattr(report, "checkpoints_written", 0),
+            "checkpoints_written": report.checkpoints_written,
             "trace_events": len(trace),
         }
     finally:

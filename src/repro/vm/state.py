@@ -50,12 +50,11 @@ def ensure_state_ids_above(minimum: int) -> None:
 
 
 def state_id_watermark() -> int:
-    """A sid bound: every sid allocated so far is <= the returned value.
-
-    Consumes one id, so only call at snapshot points (the gap is harmless —
-    sids are opaque identifiers, never compared to anything but equality).
-    """
-    return next(_state_ids)
+    """The highest sid allocated so far; allocates none (snapshots are pure)."""
+    global _state_ids
+    upcoming = next(_state_ids)
+    _state_ids = itertools.count(upcoming)
+    return upcoming - 1
 
 
 class Status:

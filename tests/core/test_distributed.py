@@ -5,9 +5,9 @@ The contracts pinned here (see docs/DISTRIBUTED.md):
 1. A distributed run — any worker count, stealing on or off, transports
    inline or multiprocess — merges to exactly the sequential run: same
    semantic counters, same state census, same canonical trace multiset.
-2. Jobs are self-contained: a pickled job round-trips through bytes and
-   replays its subtree in a fresh engine with no access to the
-   coordinator's memory.
+2. Jobs are self-contained: a job's pickled engine snapshot round-trips
+   through bytes and replays its subtree in a fresh engine with no access
+   to the coordinator's memory.
 3. The deepening loop stops when the component graph has fractured into
    enough balanced partitions, and degrades gracefully when it cannot:
    a frontier that drains before fracturing (or an explicit cut depth
@@ -28,16 +28,16 @@ from repro.api import Scenario, Topology, build_engine
 from repro.core.distributed import (
     DistributedRunner,
     InlineTransport,
-    PathPrefix,
     Transport,
     _Coordinator,
+    _job,
     _split_for_steal,
     deepen_until_partitioned,
-    restore_worker_engine,
-    snapshot_assignment_tasks,
 )
+from repro.core.engine import RunReport, restore_snapshot
 from repro.core.partition import partition_groups, steal_split
 from repro.core.resilience import RetryPolicy, WorkerFailure
+from repro.core.stats import PROGRAM_IMAGE_COST_PER_INSTRUCTION
 from repro.obs import TraceEmitter, diff_traces, validate_trace
 
 SYMBOLIC_PING = """
@@ -117,32 +117,27 @@ class TestJobRoundTrip:
         partitions = deepen_until_partitioned(
             engine, min_partitions=4, probe_events=2
         )
-        bundle = [partitions[0]]
-        tasks, _ = snapshot_assignment_tasks(engine, [bundle], trace=False)
-        payload = pickle.dumps(tasks[0])
+        payload, state_count = _job(engine, [partitions[0]])
+        assert state_count == partitions[0].state_count()
 
-        restored = restore_worker_engine(pickle.loads(payload))
-        assert len(restored.states) == partitions[0].state_count()
+        restored = restore_snapshot(pickle.loads(payload))
+        assert len(restored.states) == state_count
         restored.run()
         assert restored.events_executed > 0
         assert not restored.aborted
 
-    def test_path_prefix_pickles(self):
+    def test_inline_job_returns_a_run_report(self):
         engine = build_engine(_scenario(), "sds")
         partitions = deepen_until_partitioned(
             engine, min_partitions=4, probe_events=2
         )
-        tasks, _ = snapshot_assignment_tasks(
-            engine, [partitions[:2]], trace=False
-        )
-        from repro.core.distributed import _path_prefix
-
-        prefix = _path_prefix(engine, partitions[:2])
-        clone = pickle.loads(pickle.dumps(prefix))
-        assert clone.depth == engine.events_executed
-        assert clone.groups == sum(p.group_count() for p in partitions[:2])
-        assert clone.states == sum(p.state_count() for p in partitions[:2])
-        assert clone.conjuncts == prefix.conjuncts
+        payload, state_count = _job(engine, partitions)
+        report = InlineTransport.run_job(7, payload)
+        assert isinstance(report, RunReport)
+        assert report.job_id == 7
+        assert report.trace_events == []  # the cut engine was untraced
+        assert sum(report.state_census().values()) == report.total_states
+        assert report.total_states >= state_count
 
 
 class TestDistributedEqualsSequential:
@@ -213,50 +208,43 @@ class TestDistributedEqualsSequential:
 
 
 class TestStealSplit:
-    def test_single_partition_donor_denies(self):
+    def _restored_job(self, bundle_of):
+        """Cut the scenario, then restore one job (``bundle_of`` picks its
+        partitions) from its pickled snapshot, as a worker does."""
         engine = build_engine(_scenario(), "sds")
         partitions = deepen_until_partitioned(
             engine, min_partitions=4, probe_events=2
         )
-        bundle = [partitions[0]]
-        tasks, _ = snapshot_assignment_tasks(engine, [bundle], trace=False)
-        task = pickle.loads(pickle.dumps(tasks[0]))
-        worker = restore_worker_engine(task)
+        payload, _ = _job(engine, bundle_of(partitions))
+        return restore_snapshot(pickle.loads(payload))
+
+    def test_single_partition_donor_denies(self):
+        worker = self._restored_job(lambda partitions: [partitions[0]])
         # One partition, still runnable: nothing to split off.
-        assert _split_for_steal(worker, task, 0, 0) is None
+        assert _split_for_steal(worker, 0) is None
 
     def test_drained_donor_denies(self):
-        engine = build_engine(_scenario(), "sds")
-        partitions = deepen_until_partitioned(
-            engine, min_partitions=4, probe_events=2
-        )
-        tasks, _ = snapshot_assignment_tasks(
-            engine, [partitions], trace=False
-        )
-        task = pickle.loads(pickle.dumps(tasks[0]))
-        worker = restore_worker_engine(task)
+        worker = self._restored_job(lambda partitions: partitions)
         worker.run()  # final partition state: nothing runnable anywhere
-        assert _split_for_steal(worker, task, 0, 0) is None
+        assert _split_for_steal(worker, 0) is None
 
     def test_split_conserves_states(self):
-        engine = build_engine(_scenario(), "sds")
-        partitions = deepen_until_partitioned(
-            engine, min_partitions=4, probe_events=2
-        )
-        tasks, _ = snapshot_assignment_tasks(
-            engine, [partitions], trace=False
-        )
-        task = pickle.loads(pickle.dumps(tasks[0]))
-        worker = restore_worker_engine(task)
-        split = _split_for_steal(worker, task, 0, 123)
+        worker = self._restored_job(lambda partitions: partitions)
+        split = _split_for_steal(worker, 0)
         assert split is not None
         partial, kept_payload, stolen_jobs = split
+        assert isinstance(partial, RunReport)
         assert partial.total_states == 0
-        assert partial.accounted_bytes == 123
-        kept_task = pickle.loads(kept_payload)
-        kept_engine = restore_worker_engine(kept_task)
-        stolen_states = sum(prefix.states for _, prefix in stolen_jobs)
+        assert partial.state_census() == {}
+        assert partial.accounted_bytes == (
+            PROGRAM_IMAGE_COST_PER_INSTRUCTION * len(worker.program.code)
+        )
+        kept_engine = restore_snapshot(pickle.loads(kept_payload))
+        stolen_states = sum(state_count for _, state_count in stolen_jobs)
         assert len(kept_engine.states) + stolen_states == len(worker.states)
+        for payload, state_count in stolen_jobs:
+            stolen = restore_snapshot(pickle.loads(payload))
+            assert len(stolen.states) == state_count
 
     def test_steal_split_balances_by_weight(self):
         engine = build_engine(_scenario(), "sds")
@@ -269,11 +257,6 @@ class TestStealSplit:
         kept_w = sum(p.state_count() for p in kept)
         stolen_w = sum(p.state_count() for p in stolen)
         assert kept_w >= stolen_w  # donor keeps the heavier-or-equal half
-
-
-class _Prefix:
-    def __init__(self, states=1):
-        self.states = states
 
 
 class ScriptedTransport(Transport):
@@ -332,7 +315,7 @@ class TestCoordinatorProtocol:
 
     def test_steal_denied_during_final_partition(self):
         transport = ScriptedTransport()
-        jobs = [(b"j0", _Prefix(4)), (b"j1", _Prefix(4))]
+        jobs = [(b"j0", 4), (b"j1", 4)]
 
         def on_dispatch_j0(worker, message):
             assert message[0] == "job"
@@ -360,7 +343,7 @@ class TestCoordinatorProtocol:
 
     def test_steal_grant_enqueues_stolen_jobs(self):
         transport = ScriptedTransport()
-        jobs = [(b"j0", _Prefix(8)), (b"j1", _Prefix(2))]
+        jobs = [(b"j0", 8), (b"j1", 2)]
 
         def on_dispatch_j0(worker, message):
             return []
@@ -376,7 +359,7 @@ class TestCoordinatorProtocol:
                     0,
                     "partial-0",
                     b"kept-half",
-                    [(b"stolen-half", _Prefix(3))],
+                    [(b"stolen-half", 3)],
                 ),
                 ("done", worker, 0, "result-0"),
             ]
@@ -408,7 +391,7 @@ class TestCoordinatorProtocol:
         # its job was already requeued: accepting the partial or the
         # stolen half would double-count the replayed subtree.
         transport = ScriptedTransport()
-        jobs = [(b"j0", _Prefix(4))]
+        jobs = [(b"j0", 4)]
         coordinator = self._coordinator(transport, jobs, steal=False)
         coordinator.transport.start()
         idle = {0, 1}
@@ -421,7 +404,7 @@ class TestCoordinatorProtocol:
                 0,
                 "stale-partial",
                 b"stale-kept",
-                [(b"stale-stolen", _Prefix(2))],
+                [(b"stale-stolen", 2)],
             ),
             idle,
         )
@@ -431,7 +414,7 @@ class TestCoordinatorProtocol:
 
     def test_worker_death_retries_through_typed_failure(self):
         transport = ScriptedTransport()
-        jobs = [(b"j0", _Prefix(4))]
+        jobs = [(b"j0", 4)]
 
         attempts = []
 
@@ -452,7 +435,7 @@ class TestCoordinatorProtocol:
 
     def test_exhausted_job_raises_typed_failure(self):
         transport = ScriptedTransport(worker_count=1)
-        jobs = [(b"j0", _Prefix(4))]
+        jobs = [(b"j0", 4)]
 
         def always_fail(worker, message):
             return [
@@ -485,7 +468,7 @@ class TestCoordinatorProtocol:
         import dataclasses
 
         transport = ScriptedTransport(worker_count=1)
-        jobs = [(b"j0", _Prefix(4))]
+        jobs = [(b"j0", 4)]
 
         def always_fail(worker, message):
             return [

@@ -16,11 +16,7 @@ import pickle
 
 import pytest
 
-from repro.core.distributed import (
-    DistributedRunner,
-    _run_job_inline,
-    snapshot_assignment_tasks,
-)
+from repro.core.distributed import DistributedRunner, InlineTransport, _job
 from repro.core.partition import (
     Partition,
     lpt_assign,
@@ -294,15 +290,15 @@ class TestPickling:
         restored.check_invariants()
 
     def test_worker_task_round_trip_executes(self):
-        # Build one real task, pickle it, and run it in-process: the exact
-        # path a worker subprocess takes.
+        # Build one real job (a pickled engine snapshot of one bundle) and
+        # run it in-process: the exact path a worker subprocess takes.
         engine = build_engine(grid_scenario(3, sim_seconds=6), "cow")
         engine.run_until(split_ms=2000)
         assignment = lpt_assign(partition_groups(engine.mapper), 2)
-        tasks, _ = snapshot_assignment_tasks(engine, assignment, trace=False)
-        assert tasks
-        result = _run_job_inline(0, pickle.dumps(tasks[0]))
-        assert result.total_states > 0
+        payload, state_count = _job(engine, assignment[0])
+        assert state_count > 0
+        result = InlineTransport.run_job(0, payload)
+        assert result.total_states >= state_count
         assert result.events_executed > 0
 
 

@@ -28,20 +28,25 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import Scenario, Topology
 from repro.core import distributed
 from repro.core.distributed import (
     DistributedRunner,
     MultiprocessTransport,
-    PathPrefix,
     _Coordinator,
 )
+from repro.core.engine import capture_snapshot, restore_snapshot
+from repro.core.partition import partition_groups
+from repro.core.reduce import canonical_violations
 from repro.core.resilience import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     RetryPolicy,
     WorkerFailure,
-    WorkerTaskError,
+    WorkerFailureError,
     chaos_kill_probability,
     chaos_kill_requested,
     failure_from_exception,
@@ -110,10 +115,10 @@ def _assert_resumed_samples_match(resumed, baseline, resumed_at):
 
 
 class FakeResult:
-    """Minimal stand-in for WorkerResult — just needs ``.index``."""
+    """Minimal stand-in for a job's RunReport — just needs ``.job_id``."""
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self, job_id: int) -> None:
+        self.job_id = job_id
 
 
 def _fake_worker(worker_index, inbox, outbox, steal_check_events):
@@ -153,10 +158,7 @@ def _coordinator(
 ):
     """A coordinator over a real two-process pool running ``_fake_worker``."""
     monkeypatch.setattr(distributed, "_job_worker_main", _fake_worker)
-    jobs = [
-        (mode.encode(), PathPrefix(depth=0, groups=1, states=9, conjuncts=0))
-        for mode in modes
-    ]
+    jobs = [(mode.encode(), 9) for mode in modes]
     return _Coordinator(
         MultiprocessTransport(2, start_method="fork"),
         jobs,
@@ -322,7 +324,7 @@ class TestWorkerSupervisor:
     def test_healthy_workers_complete_without_retries(self, monkeypatch):
         coordinator = _coordinator(monkeypatch, ["ok", "ok", "ok"])
         coordinator.run()
-        assert sorted(r.index for r in coordinator.results) == [0, 1, 2]
+        assert sorted(r.job_id for r in coordinator.results) == [0, 1, 2]
         assert coordinator.failed == []
         assert coordinator.retries == 0
 
@@ -332,7 +334,7 @@ class TestWorkerSupervisor:
             monkeypatch, ["crash-first", "crash-first"], trace=trace
         )
         coordinator.run()
-        assert sorted(r.index for r in coordinator.results) == [0, 1]
+        assert sorted(r.job_id for r in coordinator.results) == [0, 1]
         assert coordinator.failed == []
         assert coordinator.retries == 2  # each job died once
         names = [event["ev"] for event in trace.events]
@@ -349,7 +351,7 @@ class TestWorkerSupervisor:
         policy = RetryPolicy(
             max_retries=0, poll_interval_seconds=0.02, backoff_base_seconds=0.0
         )
-        with pytest.raises(WorkerTaskError) as excinfo:
+        with pytest.raises(WorkerFailureError) as excinfo:
             _coordinator(monkeypatch, ["crash"], policy=policy).run()
         assert time.monotonic() - started < 30.0
         failure = excinfo.value.failure
@@ -368,7 +370,7 @@ class TestWorkerSupervisor:
             monkeypatch, ["crash", "crash"], run_inline=_inline_ok, policy=policy
         )
         coordinator.run()
-        assert sorted(r.index for r in coordinator.results) == [0, 1]
+        assert sorted(r.job_id for r in coordinator.results) == [0, 1]
         assert coordinator.failed == []
         assert coordinator.retries == 2
 
@@ -404,7 +406,7 @@ class TestWorkerSupervisor:
         )
         coordinator = _coordinator(monkeypatch, ["ok", "crash"], policy=policy)
         coordinator.run()
-        assert [r.index for r in coordinator.results] == [0]
+        assert [r.job_id for r in coordinator.results] == [0]
         assert [f.task_index for f in coordinator.failed] == [1]
 
     def test_timeout_classified_and_terminated(self, monkeypatch):
@@ -427,7 +429,7 @@ class TestWorkerSupervisor:
 
     def test_worker_exception_preserves_origin(self, monkeypatch):
         policy = RetryPolicy(max_retries=0, poll_interval_seconds=0.02)
-        with pytest.raises(WorkerTaskError) as excinfo:
+        with pytest.raises(WorkerFailureError) as excinfo:
             _coordinator(monkeypatch, ["raise"], policy=policy).run()
         failure = excinfo.value.failure
         assert failure.kind == "exception"
@@ -546,6 +548,37 @@ def _scenario():
     return grid_scenario(3, sim_seconds=6)
 
 
+#: A 3-node symbolic flood with a guard that fails on some readings: the
+#: handler analysis certifies it, so symmetry/POR prune (240 states) and
+#: the run reports violations.
+GUARDED_FLOOD = """
+var seen;
+func on_boot() { timer_set(0, 40 + node_id() * 7); }
+func on_timer(tid) {
+    var buf[1];
+    buf[0] = symbolic("reading", 8);
+    bc_send(buf, 1);
+}
+func on_recv(src, len) {
+    var v = recv_byte(0);
+    assert(v < 250, 7);
+    if (v > 128) { v -= 128; }
+    if (v > 64) { v -= 64; }
+    if (v > 32) { seen += 1; } else { seen += 2; }
+}
+"""
+
+
+def _reduced_engine():
+    scenario = Scenario(
+        name="guarded-flood",
+        program=GUARDED_FLOOD,
+        topology=Topology.full_mesh(3),
+        horizon_ms=300,
+    )
+    return build_engine(scenario, "sds", symmetry=True, por=True)
+
+
 class TestCheckpointResume:
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         baseline_engine = build_engine(_scenario(), "sds")
@@ -578,6 +611,29 @@ class TestCheckpointResume:
         _assert_reports_match(report, baseline)
         _assert_resumed_samples_match(report, baseline, header["events_executed"])
         assert resumed.state_census() == baseline_engine.state_census()
+
+    @pytest.mark.parametrize("cut", [50, 150, 300])
+    def test_resume_matches_under_symmetry_and_por(self, tmp_path, cut):
+        # The reducer's seen-sets are search state: a resume that only
+        # re-seeds them from the live states prunes differently afterwards
+        # (more states, more events, other reduce counters).
+        baseline_engine = _reduced_engine()
+        baseline = baseline_engine.run()
+        assert baseline.reduce_stats["pruned"] > 0
+        engine = _reduced_engine()
+        engine.run_until(split_events=cut)
+        path = tmp_path / "mid.sdeckpt"
+        header = save_checkpoint(engine, path)
+        assert header["events_executed"] == cut
+        report = resume_engine(path).run()
+        _assert_reports_match(report, baseline)
+        assert report.reduce_stats == baseline.reduce_stats
+        topology = baseline_engine.topology
+        assert canonical_violations(report, topology) == canonical_violations(
+            baseline, topology
+        )
+        assert canonical_violations(baseline, topology)
+        assert report.state_census() == baseline.state_census()
 
     def test_periodic_checkpointing_during_run(self, tmp_path):
         path = tmp_path / "auto.sdeckpt"
@@ -680,6 +736,13 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.sdeckpt")
 
+    @pytest.mark.parametrize("header", [b"[1]", b"7", b'"v4"', b"null"])
+    def test_non_object_header_rejected(self, tmp_path, header):
+        path = tmp_path / "odd.sdeckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + b"\n" + header + b"\nbody")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
     def test_future_version_rejected(self, tmp_path):
         engine = build_engine(_scenario(), "sds")
         engine.run_until(split_ms=3000)
@@ -693,6 +756,90 @@ class TestCheckpointResume:
         )
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+
+    def test_previous_version_rejected(self, tmp_path):
+        # A version-3 body carries no reducer state: resuming it would
+        # silently diverge under symmetry/POR, so the header refuses it.
+        path = tmp_path / "old.sdeckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + b'\n{"version": 3}\nbody')
+        with pytest.raises(CheckpointError, match="version 3"):
+            resume_engine(path)
+
+
+@pytest.fixture(scope="module")
+def damage_site(tmp_path_factory):
+    """A real checkpoint's bytes, and a path to write damaged copies to."""
+    directory = tmp_path_factory.mktemp("damage")
+    engine = build_engine(_scenario(), "sds")
+    engine.run_until(split_ms=3000)
+    path = directory / "mid.sdeckpt"
+    save_checkpoint(engine, path)
+    return path.read_bytes(), directory / "damaged.sdeckpt"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_only_raises_checkpoint_error(damage_site, data):
+    """Any flipped byte or truncation of a real checkpoint is refused
+    with :class:`CheckpointError` — never another exception, never a
+    silent resume."""
+    original, path = damage_site
+    position = data.draw(st.integers(0, len(original) - 1), label="position")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = original[:position]
+    else:
+        flipped = bytearray(original)
+        flipped[position] ^= 0xFF
+        damaged = bytes(flipped)
+    path.write_bytes(damaged)
+    with pytest.raises(CheckpointError):
+        resume_engine(path)
+
+
+# ---------------------------------------------------------------------------
+# One snapshot format for checkpoints and distributed jobs
+# ---------------------------------------------------------------------------
+
+
+def _frontier(engine):
+    """Everything a restored engine continues from, sids included."""
+    states = {
+        sid: (
+            state.node,
+            state.status,
+            state.clock,
+            tuple(state.memory),
+            len(state.constraints),
+            tuple((event.time, event.kind) for event in state.events),
+        )
+        for sid, state in engine.states.items()
+    }
+    groups = sorted(
+        sorted(state.sid for states in group.values() for state in states)
+        for group in engine.mapper.groups()
+    )
+    return states, groups, engine.scheduler_snapshot(), engine.clock.now
+
+
+class TestOneSnapshotFormat:
+    def test_job_of_all_groups_restores_like_a_checkpoint(self, tmp_path):
+        engine = build_engine(_scenario(), "sds")
+        engine.run_until(split_ms=3000)
+        job = pickle.loads(
+            pickle.dumps(capture_snapshot(engine, partition_groups(engine.mapper)))
+        )
+        path = tmp_path / "mid.sdeckpt"
+        save_checkpoint(engine, path)
+        _, checkpoint = load_checkpoint(path)
+
+        assert job.baselines is None and checkpoint.baselines is not None
+        for watermark in ("state_watermark", "packet_watermark", "broadcast_watermark"):
+            assert getattr(job, watermark) == getattr(checkpoint, watermark)
+        from_job = restore_snapshot(job)
+        from_checkpoint = restore_snapshot(checkpoint)
+        assert _frontier(from_job) == _frontier(from_checkpoint)
+        assert _frontier(from_checkpoint) == _frontier(engine)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import http.client
 import json
 import threading
 import time
+from pathlib import Path
 
 import asyncio
 
@@ -341,3 +342,42 @@ class TestChaos:
             assert stats["counters"]["service.retries"] >= 1
         finally:
             service.stop()
+
+
+class TestExecuteJob:
+    """The worker's attempt function, called directly (no subprocess)."""
+
+    def _payload(self, job_dir, spec=FAST_SPEC):
+        job_dir.mkdir()
+        return {
+            "spec": spec,
+            "trace_path": str(job_dir / "trace.jsonl"),
+            "report_path": str(job_dir / "report.json"),
+            "checkpoint_path": str(job_dir / "checkpoint.sdeckpt"),
+            "checkpoint_every": 25,
+            "kill_after": None,
+        }
+
+    @pytest.mark.parametrize(
+        "checkpoint",
+        [b"SDECKPT\n[1]\nbody", b'SDECKPT\n{"version": 3}\nbody', b"garbage"],
+        ids=["list-header", "older-version", "foreign"],
+    )
+    def test_unreadable_checkpoint_reruns_from_the_spec(
+        self, tmp_path, fast_reference, checkpoint
+    ):
+        from repro.service.worker import execute_job
+
+        payloads = [self._payload(tmp_path / name) for name in ("job", "clean")]
+        Path(payloads[0]["checkpoint_path"]).write_bytes(checkpoint)
+        result, fault_free = [execute_job(payload) for payload in payloads]
+        assert result["ok"] is True
+        assert result["resumed"] is False
+        assert result == fault_free
+        report, clean_report = [
+            json.loads(Path(payload["report_path"]).read_text())
+            for payload in payloads
+        ]
+        for field in PINNED_FIELDS:
+            assert report[field] == fast_reference[field], field
+        assert report["metrics"]["counters"] == clean_report["metrics"]["counters"]
