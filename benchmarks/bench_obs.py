@@ -3,9 +3,13 @@
 The event trace is wired into the engine's hottest paths (dispatch,
 transmission mapping, solver queries), so it must be cheap enough to
 leave on for any diagnostic run.  The acceptance bar: a fully traced run
-stays within **1.15x** of the untraced wall-clock.  Both sides take the
-best of three runs so a scheduler hiccup on either side cannot decide
-the verdict.
+stays within **1.15x** of the untraced wall-clock.  The run is short
+(about 25 ms), so the two sides are measured in interleaved pairs, the
+order alternating from pair to pair, and each side takes the best of
+:data:`PAIRS` runs: a scheduler hiccup or a drift in machine load then
+hits both sides alike instead of deciding the verdict.  (Three traced
+runs after three untraced ones went over 1.15x in 4 of 15 trials on a
+2-core host; 15 interleaved pairs stayed at or under 1.09x in 15 of 15.)
 
 The zero-cost claim for *disabled* tracing (no allocations on the hot
 path at all) is asserted separately, in
@@ -18,36 +22,37 @@ from repro.api import build_engine
 from repro.obs import TraceEmitter
 from repro.workloads import grid_scenario
 
-REPEATS = 3
+PAIRS = 15
 
 
 def _scenario():
     return grid_scenario(4, sim_seconds=6)
 
 
-def _best_run_seconds(trace_factory):
-    best = None
+def _run_seconds(trace):
+    engine = build_engine(_scenario(), "sds", trace=trace)
+    t0 = time.perf_counter()
+    engine.run()
+    return time.perf_counter() - t0
+
+
+def _best_pair_seconds():
+    """``(best untraced s, best traced s, events)`` over interleaved pairs."""
+    untraced, traced = [], []
     events = 0
-    for _ in range(REPEATS):
-        trace = trace_factory()
-        engine = build_engine(_scenario(), "sds", trace=trace)
-        t0 = time.perf_counter()
-        engine.run()
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best:
-            best = elapsed
-        if trace is not None:
-            events = len(trace)
-    return best, events
+    for pair in range(PAIRS):
+        for with_trace in (pair % 2 == 1, pair % 2 == 0):
+            if with_trace:
+                trace = TraceEmitter()
+                traced.append(_run_seconds(trace))
+                events = len(trace)
+            else:
+                untraced.append(_run_seconds(None))
+    return min(untraced), min(traced), events
 
 
 def test_tracing_overhead_within_budget(once, benchmark):
-    def measure():
-        untraced_s, _ = _best_run_seconds(lambda: None)
-        traced_s, events = _best_run_seconds(TraceEmitter)
-        return untraced_s, traced_s, events
-
-    untraced_s, traced_s, events = once(measure)
+    untraced_s, traced_s, events = once(_best_pair_seconds)
     ratio = traced_s / max(untraced_s, 1e-9)
     benchmark.extra_info["untraced_s"] = round(untraced_s, 4)
     benchmark.extra_info["traced_s"] = round(traced_s, 4)

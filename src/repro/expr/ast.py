@@ -94,6 +94,10 @@ CMP_OPS = ("eq", "ne", "ult", "ule", "slt", "sle")
 _INTERN: Dict[tuple, "Expr"] = {}
 _INTERN_HITS = 0
 _INTERN_MISSES = 0
+#: expr -> ``not_(expr)``, filled by :func:`repro.expr.builder.not_`.  Its
+#: keys and values are interned nodes, so it is never larger than
+#: ``_INTERN`` and is cleared with it.
+_NEGATION: Dict["Expr", "Expr"] = {}
 
 
 def _interned(key: tuple, factory) -> "Expr":
@@ -114,9 +118,15 @@ def intern_stats() -> Tuple[int, int, int]:
 
 
 def clear_intern_cache() -> None:
-    """Drop the interning table (mainly for tests measuring memory)."""
+    """Drop the interning table (mainly for tests measuring memory).
+
+    The negation memo goes too: a negation built before the clear is no
+    longer the interned node, and returning it would break ``==`` being
+    ``is`` for expressions.
+    """
     global _INTERN_HITS, _INTERN_MISSES
     _INTERN.clear()
+    _NEGATION.clear()
     _INTERN_HITS = 0
     _INTERN_MISSES = 0
 

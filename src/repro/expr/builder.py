@@ -29,6 +29,7 @@ from .ast import (
     BoolNot,
     BoolOr,
     Cmp,
+    _NEGATION,
     mask,
     to_signed,
 )
@@ -547,6 +548,15 @@ _CMP_NEG = {
 
 
 def not_(a: BoolExpr) -> BoolExpr:
+    # Branches negate the same conditions over and over; the memo makes
+    # a repeat one dict probe.
+    negated = _NEGATION.get(a)
+    if negated is None:
+        negated = _NEGATION[a] = _negate(a)
+    return negated
+
+
+def _negate(a: BoolExpr) -> BoolExpr:
     if isinstance(a, BoolConst):
         return bool_const(not a.value)
     if isinstance(a, BoolNot):

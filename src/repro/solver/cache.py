@@ -15,6 +15,15 @@ cheapest first:
    against only the extra conjuncts (for unrelated keys: against the
    whole query); satisfaction proves SAT without a search.
 
+An answer from tier 2 or 3 is *promoted* into the exact tier, under the
+same LRU bound, so the next identical lookup costs one dict probe
+instead of another scan.  Both are sound for the whole key: a stored
+UNSAT subset of the key proves the key UNSAT, and a reused model was
+checked against every conjunct of the key (the subset key's conjuncts
+were already true under it).  A promotion is not a store: ``stores``
+counts backend results only, and ``hit.cex`` / ``hit.model`` count the
+first answer while every repeat books ``hit.exact``.
+
 Stats use the metric names the observability layer exports
 (``solver.cache.hit.exact`` / ``hit.cex`` / ``hit.model`` / ``miss``);
 :meth:`CacheStats.restore` maps them back for checkpoint resume.
@@ -162,11 +171,16 @@ class SolverCache:
         if query_names and self._unsat_subset(key, query_names):
             self.stats.cex_hits += 1
             self.last_outcome = "cex"
+            self._remember_exact(key, None)
             return True, None
         reused = self._reusable_model(key, query_names)
         if reused is not None:
             self.stats.model_reuse_hits += 1
             self.last_outcome = "model"
+            if query_names is not None:
+                # Only a variable-filtered reuse is promoted: an exact
+                # entry never carries variables foreign to its key.
+                self._remember_exact(key, reused)
             return True, reused
         self.stats.misses += 1
         self.last_outcome = "miss"
@@ -217,10 +231,7 @@ class SolverCache:
 
     def store(self, key: Key, result: Optional[Model]) -> None:
         self.stats.stores += 1
-        self._exact[key] = result
-        self._exact.move_to_end(key)
-        while len(self._exact) > self._max_entries:
-            self._exact.popitem(last=False)
+        self._remember_exact(key, result)
         if result is not None:
             self._models[result] = None
             self._model_vars[result] = frozenset(result)
@@ -232,6 +243,12 @@ class SolverCache:
                 self._model_keys.pop(evicted, None)
         else:
             self._remember_unsat(key)
+
+    def _remember_exact(self, key: Key, result: Optional[Model]) -> None:
+        self._exact[key] = result
+        self._exact.move_to_end(key)
+        while len(self._exact) > self._max_entries:
+            self._exact.popitem(last=False)
 
     def _remember_unsat(self, key: Key) -> None:
         if key in self._unsat_keys:

@@ -18,7 +18,9 @@ own analysis.  Pipeline per query, cheapest tier first:
 2. **independence partition** — the memoized variable-sharing groups,
    with the extra conjunct merged in (:mod:`repro.solver.independence`);
 3. **per group** — the tiered :class:`~repro.solver.cache.SolverCache`
-   (exact / UNSAT-subset / model-reuse), then propagation + search.
+   (exact / UNSAT-subset / model-reuse), then propagation + search.  The
+   groups' models are merged once per tuple of group models and the
+   merged model is shared by every query that produces the same tuple.
 
 Symbolic loops re-extend the path condition with structurally repeating
 conjuncts, so models memoize per-conjunct verdicts (tier 0 and the
@@ -41,7 +43,7 @@ blow-ups and raises rather than silently mis-answering.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..expr import BoolAnd, BoolConst, BoolExpr, not_
 from ..obs.metrics import Histogram
@@ -74,9 +76,14 @@ class Solver:
     cache thrives on the cross-state query overlap that forking produces).
     """
 
+    #: bound on the merged-model memo (oldest entry evicted first).
+    MAX_MERGED_MODELS = 4096
+
     def __init__(self, use_cache: bool = True, max_nodes: int = 200_000) -> None:
         self._cache = SolverCache() if use_cache else None
         self._max_nodes = max_nodes
+        # tuple of per-group models -> their merged Model (see _merged).
+        self._merged_models: Dict[Tuple[Model, ...], Model] = {}
         # Deterministic, semantic counters (see module docstring).
         self.queries = 0
         self.sat_results = 0
@@ -297,7 +304,7 @@ class Solver:
                 cset.memo_verdict(extra, None)
             return None
 
-        merged = Model({})
+        results = []
         for group, group_vars in groups:
             result = self._solve_group(group, group_vars)
             if result is None:
@@ -306,7 +313,8 @@ class Solver:
                 if memoizable:
                     cset.memo_verdict(extra, None)
                 return None
-            merged = merged.merged_with(result)
+            results.append(result)
+        merged = self._merged(results)
         self.sat_results += 1
         self._emit_query(size, "sat")
         if memoizable:
@@ -316,6 +324,26 @@ class Solver:
             # empty model (it is a module singleton).
             cset.seed_model(merged)
             cset.memo_verdict(extra, merged)
+        return merged
+
+    def _merged(self, results: List[Model]) -> Model:
+        """One model for the groups' answers, shared between queries.
+
+        A shared model carries its per-conjunct verdict memo to every
+        path condition it is seeded on, so tier 0 evaluates each
+        (model, conjunct) pair once per run rather than once per query.
+        """
+        if len(results) == 1:
+            return results[0]
+        key = tuple(results)
+        merged = self._merged_models.get(key)
+        if merged is None:
+            merged = Model({})
+            for result in results:
+                merged = merged.merged_with(result)
+            if len(self._merged_models) >= self.MAX_MERGED_MODELS:
+                del self._merged_models[next(iter(self._merged_models))]
+            self._merged_models[key] = merged
         return merged
 
     def _normalized(self, cset: ConstraintSet, extra: Optional[BoolExpr]):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from ..expr import BoolExpr, BVVar, evaluate
 
@@ -23,13 +23,16 @@ class Model:
     cache (checking whether an old model also satisfies a new query).
     """
 
-    __slots__ = ("_values", "_memo")
+    __slots__ = ("_values", "_memo", "_hash")
 
     def __init__(self, values: Dict[str, int]) -> None:
         self._values = dict(values)
         # Lazy per-conjunct verdict memo: constraint expr -> bool.  Sound
         # because the assignment is immutable and expressions interned.
         self._memo: Dict[BoolExpr, bool] = {}
+        # Lazy hash: models key the cache's model index and the solver's
+        # merged-model memo, so the same model is hashed over and over.
+        self._hash: Optional[int] = None
 
     def __getitem__(self, name: str) -> int:
         return self._values.get(name, 0)
@@ -92,7 +95,8 @@ class Model:
         return Model(merged)
 
     def __reduce__(self):
-        # Drop the verdict memo from snapshots; it is recomputable.
+        # Drop the verdict and hash memos from snapshots; both are
+        # recomputable (and string hashes differ between processes).
         return (Model, (self._values,))
 
     def __repr__(self) -> str:
@@ -105,4 +109,7 @@ class Model:
         return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._values.items()))
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash(frozenset(self._values.items()))
+        return cached

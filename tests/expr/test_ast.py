@@ -6,14 +6,20 @@ from repro.expr import (
     add,
     and_,
     bv,
+    clear_intern_cache,
     eq,
+    false,
     intern_stats,
     mask,
+    not_,
+    or_,
     to_signed,
     to_unsigned,
+    ule,
     ult,
     var,
 )
+from repro.expr import ast
 
 
 class TestHelpers:
@@ -69,6 +75,52 @@ class TestInterning:
         before = intern_stats()[0]
         var("totally_fresh_variable_name_xyz", 16)
         assert intern_stats()[0] == before + 1
+
+
+@pytest.fixture
+def isolated_intern_tables():
+    """Let a test clear the intern tables, then put the originals back:
+    nodes other tests hold at module level must stay the interned ones."""
+    saved = dict(ast._INTERN), dict(ast._NEGATION)
+    counters = ast._INTERN_HITS, ast._INTERN_MISSES
+    yield
+    for table, entries in zip((ast._INTERN, ast._NEGATION), saved):
+        table.clear()
+        table.update(entries)
+    ast._INTERN_HITS, ast._INTERN_MISSES = counters
+
+
+class TestNegationMemo:
+    def test_negation_is_memoized(self):
+        e = ult(var("x"), var("y"))
+        assert not_(e) is not_(e)
+        assert ast._NEGATION[e] is not_(e)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ult(var("x"), var("y")),
+            lambda: eq(var("x"), bv(3)),
+            lambda: or_(eq(var("x"), bv(1)), ult(var("y"), bv(2))),
+            false,
+        ],
+    )
+    def test_double_negation_is_identity(self, build):
+        e = build()
+        assert not_(not_(e)) is e
+
+    def test_clear_drops_stale_negations(self, isolated_intern_tables):
+        e = ult(var("x"), var("y"))
+        stale = not_(e)
+        clear_intern_cache()
+        assert not ast._NEGATION
+        # The old node's negation is rebuilt against the new table ...
+        assert not_(e) is not stale
+        assert not_(e) is ule(e.right, e.left)
+        # ... and so is a rebuilt expression's.
+        rebuilt = not_(ult(var("x"), var("y")))
+        assert rebuilt is not stale
+        assert rebuilt is ule(var("y"), var("x"))
 
 
 class TestTraversal:

@@ -1,6 +1,8 @@
 """Solver internals: independence partitioning, cache, search budget,
 propagation details."""
 
+import pickle
+
 import pytest
 
 from repro.expr import Interval, add, bv, bvand, eq, mul, ne, ule, ult, var
@@ -139,6 +141,67 @@ class TestCacheTierAccounting:
         cache.store(SolverCache.key([eq(B, bv(3))]), Model({"b": 3}))
         hit, _ = cache.lookup(SolverCache.key([ult(A, bv(10))]), frozenset([A]))
         assert not hit
+
+    def test_model_reuse_answer_is_promoted_to_exact(self):
+        cache = SolverCache()
+        model = Model({"a": 3})
+        cache.store(SolverCache.key([ult(A, bv(10))]), model)
+        wider = SolverCache.key([ult(A, bv(100))])
+        hit, first = cache.lookup(wider, frozenset([A]))
+        assert hit and first is model and cache.last_outcome == "model"
+        steps = cache.stats.model_scan_steps
+        hit, again = cache.lookup(wider, frozenset([A]))
+        assert hit and again is model and cache.last_outcome == "exact"
+        stats = cache.stats.as_dict()
+        assert stats["hit.model"] == 1 and stats["hit.exact"] == 1
+        assert stats["stores"] == 1
+        assert cache.stats.model_scan_steps == steps  # no second scan
+
+    def test_cex_answer_is_promoted_to_exact(self):
+        cache = SolverCache()
+        cache.store(SolverCache.key([eq(A, bv(1)), eq(A, bv(2))]), None)
+        superset = SolverCache.key([eq(A, bv(1)), eq(A, bv(2)), ult(B, bv(9))])
+        assert cache.lookup(superset, frozenset([A, B])) == (True, None)
+        assert cache.last_outcome == "cex"
+        steps = cache.stats.subset_scan_steps
+        assert cache.lookup(superset, frozenset([A, B])) == (True, None)
+        assert cache.last_outcome == "exact"
+        assert cache.stats.cex_hits == 1 and cache.stats.stores == 1
+        assert cache.stats.subset_scan_steps == steps
+
+    def test_promotions_respect_the_exact_bound(self):
+        cache = SolverCache(max_entries=2)
+        core = [eq(A, bv(1)), eq(A, bv(2))]
+        cache.store(SolverCache.key(core), None)
+        cache.store(SolverCache.key([ult(A, bv(10))]), Model({"a": 3}))
+        for i in range(5):
+            extra = ult(B, bv(i + 1))
+            cache.lookup(SolverCache.key(core + [extra]), frozenset([A, B]))
+            cache.lookup(SolverCache.key([ult(A, bv(20 + i))]), frozenset([A]))
+            assert len(cache) <= 2
+        assert cache.stats.cex_hits == 5 and cache.stats.model_reuse_hits == 5
+
+    def test_model_hash_is_stable(self):
+        first = Model({"a": 1, "b": 2})
+        second = Model({"b": 2, "a": 1})
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        copy = pickle.loads(pickle.dumps(first))
+        assert copy == first and hash(copy) == hash(first)
+
+    def test_repeated_multi_group_check_shares_the_merged_model(self):
+        solver = Solver()
+        query = [eq(A, bv(1)), eq(B, bv(2))]  # two independence groups
+        first = solver.check(query)
+        second = solver.check(query)  # a fresh ConstraintSet: no memo
+        assert solver.backend_groups == 4
+        assert first is second
+        assert first["a"] == 1 and first["b"] == 2
+
+    def test_single_group_check_returns_the_cached_model(self):
+        solver = Solver()
+        first = solver.check([eq(A, bv(1))])
+        assert solver.check([eq(A, bv(1))]) is first
 
     def test_stats_restore_round_trip(self):
         cache = SolverCache()
