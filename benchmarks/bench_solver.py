@@ -14,11 +14,11 @@ Runs the symbolic flood once and gates on two properties:
    committed, deterministic :data:`SEED_BACKEND_GROUPS`.
 
 Wall clock is recorded, not gated: ``perfbench``'s ``flood3`` workload
-runs this same scenario and bounds its ``run_s``.  The cost of the cache
-hit path is recorded as a work count instead: the models the model-reuse
-tier evaluated (``solver.cache.model_scan_steps``) are gated ``lower``
-in the committed baseline, so a change that lets repeated lookups rescan
-models again fails the trend check.
+runs this same scenario and bounds its ``run_s``.  How well the exact
+cache tier catches repeated groups is recorded as a work count instead:
+the backend searches its misses cost (``solver.backend.searches``) are
+gated ``lower`` in the committed baseline, so a change that makes the
+cache miss more fails the trend check.
 
 All numbers come from the run's metrics snapshot — the same JSON
 contract ``repro run --metrics-out`` writes — not from solver internals.
@@ -102,7 +102,7 @@ def test_optimizer_reduces_backend_solves(once, benchmark):
         solver_backend_groups_seed=SEED_BACKEND_GROUPS,
         solver_backend_groups_optimized=opt_groups,
         solver_group_reduction_pct=round(reduction * 100, 1),
-        solver_model_scan_steps=opt_c["solver.cache.model_scan_steps"],
+        solver_backend_searches=opt_c["solver.backend.searches"],
         solver_cache_hits_exact=opt_c["solver.cache.hit.exact"],
         solver_wall_clock_optimized=round(opt_s, 3),
     )
@@ -116,5 +116,3 @@ def test_optimizer_reduces_backend_solves(once, benchmark):
     ]
     benchmark.extra_info["backend_searches"] = opt_c["solver.backend.searches"]
     benchmark.extra_info["cache_hits_exact"] = opt_c["solver.cache.hit.exact"]
-    benchmark.extra_info["cache_hits_cex"] = opt_c["solver.cache.hit.cex"]
-    benchmark.extra_info["cache_hits_model"] = opt_c["solver.cache.hit.model"]

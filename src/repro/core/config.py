@@ -45,16 +45,12 @@ class EngineConfig:
     failure_models: Tuple[FailureModel, ...] = ()
     #: preset guest globals: name -> value or per-node mapping.
     preset_globals: Optional[Dict[str, _PresetValue]] = None
-    #: link latency of the medium.  Kept as a top-level field for
-    #: back-compat: it seeds the ``latency_ms`` medium parameter unless
-    #: ``medium_params`` overrides it.
-    latency_ms: int = 1
     #: network medium, by registry name (:func:`repro.net.make_medium`);
     #: ``"ideal"`` is the paper-fidelity default, ``"realistic"`` the
     #: lossy/jittered/routed medium (docs/NETWORK.md).
     medium: str = "ideal"
-    #: medium construction parameters, merged over the ``latency_ms``
-    #: alias.  Stored as a plain dict; treat as immutable.
+    #: medium construction parameters (``latency_ms``, ``loss``, ...).
+    #: Stored as a plain dict; treat as immutable.
     medium_params: Optional[Dict[str, object]] = None
     #: per-node boot times; ``None`` boots every node at t=0.
     boot_times: Optional[Tuple[int, ...]] = None

@@ -355,9 +355,9 @@ class SDEEngine:
         self.program = program
         self.topology = topology
         self.mapper = mapper
-        medium_params = dict(config.medium_params or {})
-        medium_params.setdefault("latency_ms", config.latency_ms)
-        self.medium = make_medium(config.medium, topology, **medium_params)
+        self.medium = make_medium(
+            config.medium, topology, **(config.medium_params or {})
+        )
         self.clock = VirtualClock(config.horizon_ms)
         self.solver = solver if solver is not None else config.make_solver()
         self.executor = Executor(

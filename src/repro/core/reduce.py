@@ -559,9 +559,6 @@ class StateReducer:
             tuple(_serialize_state(state, perm, _Canon())) for perm in perms
         )
 
-    def orbit_count(self) -> int:
-        return len(self.seen)
-
     # -- seeding (resume / restored worker partitions) ----------------------
 
     def seed(self, states: Iterable[ExecutionState]) -> None:

@@ -308,7 +308,10 @@ CHECKPOINT_MAGIC = b"SDECKPT"
 # Version 4: the body is an EngineSnapshot whose baselines carry the
 # symmetry/POR reducer's search state; a version-3 body would resume
 # without it (and so diverge), so it is rejected at the header.
-CHECKPOINT_VERSION = 4
+# Version 5: EngineConfig lost the top-level latency_ms alias (the link
+# latency lives in medium_params); a version-4 config with a non-default
+# alias would silently resume at the medium's 1 ms default.
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(RuntimeError):

@@ -81,7 +81,6 @@ class Scenario:
     #: but a factory keeps runs fully independent).
     failure_factory: Callable[[], Sequence[FailureModel]] = tuple
     preset_globals: Dict[str, PresetValue] = field(default_factory=dict)
-    latency_ms: int = 1
     #: network medium registry name plus its construction parameters
     #: (docs/NETWORK.md); "ideal" is the paper-fidelity default.
     medium: str = "ideal"
@@ -113,7 +112,6 @@ class Scenario:
             horizon_ms=self.horizon_ms,
             failure_models=tuple(self.failure_factory()),
             preset_globals=self.preset_globals,
-            latency_ms=self.latency_ms,
             medium=self.medium,
             medium_params=(
                 dict(self.medium_params) if self.medium_params else None

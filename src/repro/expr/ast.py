@@ -132,9 +132,14 @@ def clear_intern_cache() -> None:
 
 
 class Expr:
-    """Base class of all expression nodes."""
+    """Base class of all expression nodes.
 
-    __slots__ = ("_hash", "_vars")
+    Interning makes structural equality identity, so nodes keep
+    ``object``'s identity ``__eq__`` and ``__hash__`` (C-level, no
+    Python call on every dict or set operation).
+    """
+
+    __slots__ = ("_vars",)
 
     #: Distinguishes the boolean sort from the bitvector sort.
     is_bool = False
@@ -144,16 +149,6 @@ class Expr:
 
     def is_const(self) -> bool:
         return False
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        # Interning guarantees structural equality == identity.
-        return self is other
-
-    def __ne__(self, other: object) -> bool:
-        return self is not other
 
     def variables(self) -> frozenset:
         """The set of :class:`BVVar` nodes occurring in this expression.
@@ -226,7 +221,6 @@ class BVConst(BVExpr):
             node = object.__new__(cls)
             node.value = value
             node.width = width
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -260,7 +254,6 @@ class BVVar(BVExpr):
             node = object.__new__(cls)
             node.name = name
             node.width = width
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -285,7 +278,6 @@ class BVUnary(BVExpr):
             node.op = op
             node.operand = operand
             node.width = operand.width
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -314,7 +306,6 @@ class BVBinary(BVExpr):
             node.left = left
             node.right = right
             node.width = left.width
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -343,7 +334,6 @@ class BVIte(BVExpr):
             node.then = then
             node.orelse = orelse
             node.width = then.width
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -371,7 +361,6 @@ class BVExtract(BVExpr):
             node.operand = operand
             node.low = low
             node.width = width
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -400,7 +389,6 @@ class BVExtend(BVExpr):
             node.operand = operand
             node.width = width
             node.signed = signed
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -429,7 +417,6 @@ class BVConcat(BVExpr):
             node.high = high
             node.low_part = low_part
             node.width = high.width + low_part.width
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -455,7 +442,6 @@ class BoolConst(BoolExpr):
         def build() -> "BoolConst":
             node = object.__new__(cls)
             node.value = bool(value)
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -479,7 +465,6 @@ class BoolNot(BoolExpr):
         def build() -> "BoolNot":
             node = object.__new__(cls)
             node.operand = operand
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -505,7 +490,6 @@ class BoolAnd(BoolExpr):
         def build() -> "BoolAnd":
             node = object.__new__(cls)
             node.operands = operands
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -532,7 +516,6 @@ class BoolOr(BoolExpr):
         def build() -> "BoolOr":
             node = object.__new__(cls)
             node.operands = operands
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
@@ -561,7 +544,6 @@ class Cmp(BoolExpr):
             node.op = op
             node.left = left
             node.right = right
-            node._hash = hash(key)
             return node
 
         return _interned(key, build)  # type: ignore[return-value]

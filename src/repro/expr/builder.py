@@ -308,7 +308,7 @@ def bvxor(a: BVExpr, b: BVExpr) -> BVExpr:
         else:
             counts[term] = counts.get(term, 0) + 1
     remaining = [term for term, count in counts.items() if count % 2]
-    remaining.sort(key=lambda e: e._hash)
+    remaining.sort(key=id)
     if not remaining:
         return BVConst(constant, w)
     expr = remaining[0]
@@ -594,7 +594,7 @@ def and_(*operands: BoolExpr) -> BoolExpr:
         return TRUE
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=lambda e: e._hash)
+    flat.sort(key=id)
     return BoolAnd(tuple(flat))
 
 
@@ -616,7 +616,7 @@ def or_(*operands: BoolExpr) -> BoolExpr:
         return FALSE
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=lambda e: e._hash)
+    flat.sort(key=id)
     return BoolOr(tuple(flat))
 
 

@@ -26,7 +26,6 @@ from .ast import (
     BoolOr,
     Cmp,
     Expr,
-    to_signed,
 )
 
 __all__ = ["pretty", "to_smtlib", "smtlib_script"]
@@ -172,11 +171,3 @@ def smtlib_script(constraints: Iterable[BoolExpr]) -> str:
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
-
-
-def describe_value(value: int, width: int) -> str:
-    """Render a model value both unsigned and signed when they differ."""
-    signed = to_signed(value, width)
-    if signed == value:
-        return str(value)
-    return f"{value} ({signed})"

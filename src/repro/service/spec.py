@@ -43,7 +43,6 @@ __all__ = [
 CONFIG_FIELD_ALLOWLIST = frozenset(
     {
         "horizon_ms",
-        "latency_ms",
         "max_states",
         "max_accounted_bytes",
         "max_wall_seconds",

@@ -1,40 +1,24 @@
-"""Tiered query caching (KLEE's counterexample cache, adapted).
+"""Exact-match query caching (KLEE's query cache, one tier).
 
 SDE queries are massively redundant: forked siblings share all but one
 conjunct, and every branch site issues near-identical feasibility pairs.
-The cache answers a query about one independence group from three tiers,
-cheapest first:
-
-1. **exact** — the frozenset of the group's conjuncts is the key; a hit
-   returns the stored result (a model, or ``None`` for UNSAT) outright.
-2. **counterexample subset** — a stored UNSAT key that is a *subset* of
-   the query proves the query UNSAT (adding conjuncts can't revive it).
-   Candidates come from a per-variable index so only keys sharing the
-   query's variables are examined, with a hard scan bound.
-3. **model reuse** — a model stored for a *subset* key is evaluated
-   against only the extra conjuncts (for unrelated keys: against the
-   whole query); satisfaction proves SAT without a search.
-
-An answer from tier 2 or 3 is *promoted* into the exact tier, under the
-same LRU bound, so the next identical lookup costs one dict probe
-instead of another scan.  Both are sound for the whole key: a stored
-UNSAT subset of the key proves the key UNSAT, and a reused model was
-checked against every conjunct of the key (the subset key's conjuncts
-were already true under it).  A promotion is not a store: ``stores``
-counts backend results only, and ``hit.cex`` / ``hit.model`` count the
-first answer while every repeat books ``hit.exact``.
+The cache maps the frozenset of one independence group's conjuncts to
+the backend's answer for it — a :class:`Model` for SAT, ``None`` for
+UNSAT — under an LRU bound.  A hit returns the stored answer outright;
+a miss goes to search, whose result is stored.
 
 Stats use the metric names the observability layer exports
-(``solver.cache.hit.exact`` / ``hit.cex`` / ``hit.model`` / ``miss``);
-:meth:`CacheStats.restore` maps them back for checkpoint resume.
+(``solver.cache.hit.exact`` / ``miss`` / ``stores``);
+:meth:`CacheStats.restore` maps them back for checkpoint resume and
+ignores names it does not know (older snapshots carry retired tiers).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
-from ..expr import BoolExpr, BVVar
+from ..expr import BoolExpr
 from .model import Model
 
 __all__ = ["SolverCache", "CacheStats"]
@@ -43,28 +27,16 @@ Key = FrozenSet[BoolExpr]
 
 
 class CacheStats:
-    """Hit/miss accounting, one attribute per tier."""
+    """Hit/miss accounting."""
 
-    __slots__ = (
-        "exact_hits",
-        "cex_hits",
-        "model_reuse_hits",
-        "misses",
-        "stores",
-        "model_scan_steps",
-        "subset_scan_steps",
-    )
+    __slots__ = ("exact_hits", "misses", "stores")
 
     #: metric-snapshot name -> attribute (the JSON contract behind the
     #: ``solver.cache.*`` counters; also accepted by :meth:`restore`).
     METRIC_NAMES = {
         "hit.exact": "exact_hits",
-        "hit.cex": "cex_hits",
-        "hit.model": "model_reuse_hits",
         "miss": "misses",
         "stores": "stores",
-        "model_scan_steps": "model_scan_steps",
-        "subset_scan_steps": "subset_scan_steps",
     }
 
     def __init__(self) -> None:
@@ -89,8 +61,8 @@ class CacheStats:
 
     def __repr__(self) -> str:
         return (
-            f"CacheStats(exact={self.exact_hits}, cex={self.cex_hits},"
-            f" reuse={self.model_reuse_hits}, misses={self.misses})"
+            f"CacheStats(exact={self.exact_hits}, misses={self.misses},"
+            f" stores={self.stores})"
         )
 
 
@@ -98,188 +70,43 @@ _MISS = object()
 
 
 class SolverCache:
-    """The tiered cache described in the module docstring.
+    """The exact-match cache described in the module docstring.
 
     ``lookup`` returns ``(hit, result)`` where ``result`` is a
-    :class:`Model` for SAT and ``None`` for UNSAT; ``last_outcome``
-    records which tier answered (``"exact"``, ``"cex"``, ``"model"`` or
-    ``"miss"``) for trace events.  Every structure is bounded: exact
-    entries and UNSAT index keys are LRU-evicted, and the model / subset
-    scans have hard step limits so a lookup can never cost more than a
-    small constant multiple of a miss.
+    :class:`Model` for SAT and ``None`` for UNSAT.  At most
+    ``MAX_ENTRIES`` keys are kept; the least recently used goes first.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 65536,
-        max_models: int = 256,
-        max_model_scan: int = 64,
-        max_unsat_entries: int = 4096,
-        max_subset_scan: int = 64,
-    ) -> None:
+    MAX_ENTRIES = 65536
+
+    def __init__(self) -> None:
         self._exact: "OrderedDict[Key, Optional[Model]]" = OrderedDict()
-        self._models: "OrderedDict[Model, None]" = OrderedDict()
-        self._model_vars: Dict[Model, FrozenSet[str]] = {}
-        self._model_keys: Dict[Model, Key] = {}
-        # UNSAT subset index: every remembered UNSAT key is filed under
-        # ONE representative variable name (its smallest), so a query
-        # only scans the buckets of its own variables.
-        self._unsat_keys: "OrderedDict[Key, str]" = OrderedDict()
-        self._unsat_by_rep: Dict[str, List[Key]] = {}
-        self._max_entries = max_entries
-        self._max_models = max_models
-        self._max_model_scan = max_model_scan
-        self._max_unsat_entries = max_unsat_entries
-        self._max_subset_scan = max_subset_scan
         self.stats = CacheStats()
-        #: how the most recent lookup was answered; read by the solver's
-        #: trace instrumentation ("exact"/"cex"/"model"/"miss").
-        self.last_outcome = "miss"
 
     @staticmethod
     def key(constraints: Iterable[BoolExpr]) -> Key:
         """Order-independent cache key for one conjunct group."""
         return frozenset(constraints)
 
-    # -- lookup ---------------------------------------------------------------
-
-    def lookup(
-        self,
-        key: Key,
-        variables: Optional[Iterable[BVVar]] = None,
-    ) -> Tuple[bool, Optional[Model]]:
-        """Return ``(hit, result)``; result is a Model or None (unsat).
-
-        ``variables``: the query's variable set when the caller knows it
-        (the solver passes each independence group's variables).  It
-        keys the UNSAT subset index and lets the model scan skip models
-        assigning variables outside the query — those came from
-        unrelated groups and reusing them would leak unconstrained
-        assignments into the merged model.
-        """
+    def lookup(self, key: Key) -> Tuple[bool, Optional[Model]]:
+        """Return ``(hit, result)``; result is a Model or None (unsat)."""
         result = self._exact.get(key, _MISS)
-        if result is not _MISS:
-            self._exact.move_to_end(key)
-            self.stats.exact_hits += 1
-            self.last_outcome = "exact"
-            return True, result  # type: ignore[return-value]
-        query_names = (
-            None
-            if variables is None
-            else frozenset(v.name for v in variables)
-        )
-        if query_names and self._unsat_subset(key, query_names):
-            self.stats.cex_hits += 1
-            self.last_outcome = "cex"
-            self._remember_exact(key, None)
-            return True, None
-        reused = self._reusable_model(key, query_names)
-        if reused is not None:
-            self.stats.model_reuse_hits += 1
-            self.last_outcome = "model"
-            if query_names is not None:
-                # Only a variable-filtered reuse is promoted: an exact
-                # entry never carries variables foreign to its key.
-                self._remember_exact(key, reused)
-            return True, reused
-        self.stats.misses += 1
-        self.last_outcome = "miss"
-        return False, None
-
-    def _unsat_subset(self, key: Key, query_names: FrozenSet[str]) -> bool:
-        """Tier 2: does a remembered UNSAT key prove this query UNSAT?"""
-        scanned = 0
-        for name in sorted(query_names):
-            candidates = self._unsat_by_rep.get(name)
-            if not candidates:
-                continue
-            for candidate in reversed(candidates):  # newest first
-                scanned += 1
-                if candidate <= key:
-                    self.stats.subset_scan_steps += scanned
-                    return True
-                if scanned >= self._max_subset_scan:
-                    self.stats.subset_scan_steps += scanned
-                    return False
-        self.stats.subset_scan_steps += scanned
-        return False
-
-    def _reusable_model(
-        self, key: Key, query_names: Optional[FrozenSet[str]]
-    ) -> Optional[Model]:
-        """Tier 3: most recently stored models first, bounded evaluations."""
-        evaluated = 0
-        for model in reversed(self._models):
-            if evaluated >= self._max_model_scan:
-                break
-            if query_names is not None and not (
-                self._model_vars[model] <= query_names
-            ):
-                continue
-            evaluated += 1
-            probe: Iterable[BoolExpr] = key
-            stored_key = self._model_keys.get(model)
-            if stored_key is not None and stored_key <= key:
-                probe = key - stored_key  # evaluate only the extras
-            if model.satisfies(probe):
-                self.stats.model_scan_steps += evaluated
-                return model
-        self.stats.model_scan_steps += evaluated
-        return None
-
-    # -- store ----------------------------------------------------------------
+        if result is _MISS:
+            self.stats.misses += 1
+            return False, None
+        self._exact.move_to_end(key)
+        self.stats.exact_hits += 1
+        return True, result  # type: ignore[return-value]
 
     def store(self, key: Key, result: Optional[Model]) -> None:
         self.stats.stores += 1
-        self._remember_exact(key, result)
-        if result is not None:
-            self._models[result] = None
-            self._model_vars[result] = frozenset(result)
-            self._model_keys[result] = key
-            self._models.move_to_end(result)
-            while len(self._models) > self._max_models:
-                evicted, _ = self._models.popitem(last=False)
-                self._model_vars.pop(evicted, None)
-                self._model_keys.pop(evicted, None)
-        else:
-            self._remember_unsat(key)
-
-    def _remember_exact(self, key: Key, result: Optional[Model]) -> None:
         self._exact[key] = result
         self._exact.move_to_end(key)
-        while len(self._exact) > self._max_entries:
+        while len(self._exact) > self.MAX_ENTRIES:
             self._exact.popitem(last=False)
-
-    def _remember_unsat(self, key: Key) -> None:
-        if key in self._unsat_keys:
-            return
-        representative = min(
-            (v.name for c in key for v in c.variables()), default=""
-        )
-        if not representative:
-            return  # ground UNSAT groups never gain from subset proofs
-        self._unsat_keys[key] = representative
-        self._unsat_by_rep.setdefault(representative, []).append(key)
-        while len(self._unsat_keys) > self._max_unsat_entries:
-            stale, rep = self._unsat_keys.popitem(last=False)
-            bucket = self._unsat_by_rep.get(rep)
-            if bucket is not None:
-                try:
-                    bucket.remove(stale)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                if not bucket:
-                    del self._unsat_by_rep[rep]
-
-    # -- maintenance ----------------------------------------------------------
 
     def clear(self) -> None:
         self._exact.clear()
-        self._models.clear()
-        self._model_vars.clear()
-        self._model_keys.clear()
-        self._unsat_keys.clear()
-        self._unsat_by_rep.clear()
 
     def __len__(self) -> int:
         return len(self._exact)

@@ -17,16 +17,16 @@ own analysis.  Pipeline per query, cheapest tier first:
    conjunct; constant folds and digest contradictions answer here;
 2. **independence partition** — the memoized variable-sharing groups,
    with the extra conjunct merged in (:mod:`repro.solver.independence`);
-3. **per group** — the tiered :class:`~repro.solver.cache.SolverCache`
-   (exact / UNSAT-subset / model-reuse), then propagation + search.  The
-   groups' models are merged once per tuple of group models and the
-   merged model is shared by every query that produces the same tuple.
+3. **per group** — the exact-match :class:`~repro.solver.cache.SolverCache`,
+   then propagation + search on a miss.  The groups' models are merged
+   once per tuple of group models and the merged model is shared by
+   every query that produces the same tuple.
 
 Symbolic loops re-extend the path condition with structurally repeating
-conjuncts, so models memoize per-conjunct verdicts (tier 0 and the
-cache's model scan evaluate each (model, conjunct) pair once) and a new
-implied equality is canonicalized as a delta against the parent's
-memoized form (:meth:`~repro.solver.constraints.ConstraintSet.canonical`).
+conjuncts, so models memoize per-conjunct verdicts (tier 0 evaluates
+each (model, conjunct) pair once) and a new implied equality is
+canonicalized as a delta against the parent's memoized form
+(:meth:`~repro.solver.constraints.ConstraintSet.canonical`).
 
 Accounting contract: ``queries``, ``sat_results`` and ``unsat_results``
 are *semantic* and deterministic — independent of worker count, memo
@@ -70,7 +70,7 @@ class UnsatisfiableError(SolverError):
 
 
 class Solver:
-    """Satisfiability oracle with memoized normalization and tiered caching.
+    """Satisfiability oracle with memoized normalization and query caching.
 
     A single instance is shared by all execution states of an SDE run (the
     cache thrives on the cross-state query overlap that forking produces).
@@ -389,20 +389,15 @@ class Solver:
         key = None
         if self._cache is not None:
             key = SolverCache.key(group)
-            hit, cached = self._cache.lookup(key, group_vars)
+            hit, cached = self._cache.lookup(key)
+            if self.trace is not None:
+                # Outcome is cache-state dependent, hence a volatile
+                # field; the *count* of lookups is deterministic.
+                self.trace.emit("solver.cache", outcome="exact" if hit else "miss")
             if hit:
-                if self.trace is not None:
-                    # Outcome is cache-state dependent, hence a volatile
-                    # field; the *count* of lookups is deterministic.
-                    self.trace.emit(
-                        "solver.cache", outcome=self._cache.last_outcome
-                    )
                 return cached
-        if self.trace is not None:
-            self.trace.emit(
-                "solver.cache",
-                outcome="miss" if self._cache is not None else "disabled",
-            )
+        elif self.trace is not None:
+            self.trace.emit("solver.cache", outcome="disabled")
         self.backend_searches += 1
         if self._phase_search is not None:
             with self._phase_search:

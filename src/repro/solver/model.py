@@ -19,8 +19,8 @@ class Model:
     conjunct's variables when the zero default already satisfies it).
 
     The solver guarantees every returned model satisfies the query; the
-    :meth:`satisfies` re-check exists for tests and for model reuse in the
-    cache (checking whether an old model also satisfies a new query).
+    :meth:`satisfies` check exists for tests and for the solver's model
+    shortcut (does a path condition's model also satisfy a new conjunct?).
     """
 
     __slots__ = ("_values", "_memo", "_hash")
@@ -30,8 +30,8 @@ class Model:
         # Lazy per-conjunct verdict memo: constraint expr -> bool.  Sound
         # because the assignment is immutable and expressions interned.
         self._memo: Dict[BoolExpr, bool] = {}
-        # Lazy hash: models key the cache's model index and the solver's
-        # merged-model memo, so the same model is hashed over and over.
+        # Lazy hash: models key the solver's merged-model memo, so the
+        # same model is hashed over and over.
         self._hash: Optional[int] = None
 
     def __getitem__(self, name: str) -> int:

@@ -252,9 +252,6 @@ class ExecutionState:
             tuple(sorted(self.link_busy.items())),
         )
 
-    def memory_cells(self) -> int:
-        return len(self.memory)
-
     def __repr__(self) -> str:
         return (
             f"State(sid={self.sid}, node={self.node}, status={self.status},"

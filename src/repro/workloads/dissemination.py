@@ -116,5 +116,4 @@ def dissemination_scenario(
             "interval": interval_ms,
             "rounds_left": rounds,
         },
-        latency_ms=1,
     )

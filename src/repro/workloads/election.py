@@ -152,7 +152,6 @@ def election_scenario(
             "stagger": stagger_ms,
             "announce_at": announce_at,
         },
-        latency_ms=1,
         medium=medium,
         medium_params=dict(medium_params or {}),
     )

@@ -50,5 +50,4 @@ def flood_scenario(
             drop_nodes, budget=drop_budget
         ),
         preset_globals=presets,
-        latency_ms=1,
     )

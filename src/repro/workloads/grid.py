@@ -73,7 +73,6 @@ def grid_scenario(
             packet_filter=None if drop_any_packet else first_collect_packet,
         ),
         preset_globals=presets,
-        latency_ms=1,
         max_states=max_states,
         max_accounted_bytes=max_accounted_bytes,
         max_wall_seconds=max_wall_seconds,

@@ -66,5 +66,4 @@ def line_scenario(
             packet_filter=None if drop_any_packet else first_collect_packet,
         ),
         preset_globals=presets,
-        latency_ms=1,
     )

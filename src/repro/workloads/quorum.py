@@ -160,7 +160,6 @@ def quorum_scenario(
             "quorum": size // 2 + 1,
             "write_at": write_at_ms,
         },
-        latency_ms=1,
         medium=medium,
         medium_params=dict(medium_params or {}),
     )

@@ -144,9 +144,8 @@ def _scenario_fields():
         horizon_ms=77,
         failure_factory=lambda: (SymbolicPacketDrop([0]),),
         preset_globals={"g": 1},
-        latency_ms=3,
         medium="realistic",
-        medium_params={"loss": 0.1},
+        medium_params={"loss": 0.1, "latency_ms": 3},
         boot_times=[0, 1],
         max_states=5,
         max_accounted_bytes=6,

@@ -33,13 +33,15 @@ def simple_scenario(**overrides):
 
 class TestLatency:
     def test_configurable_latency_delays_delivery(self):
-        engine = build_engine(simple_scenario(latency_ms=50), "sds")
+        scenario = simple_scenario(medium_params={"latency_ms": 50})
+        engine = build_engine(scenario, "sds")
         engine.run()
         (receiver,) = engine.states_of_node(1)
         assert receiver.clock == 60  # sent at 10, +50ms
 
     def test_zero_latency(self):
-        engine = build_engine(simple_scenario(latency_ms=0), "sds")
+        scenario = simple_scenario(medium_params={"latency_ms": 0})
+        engine = build_engine(scenario, "sds")
         engine.run()
         (receiver,) = engine.states_of_node(1)
         assert receiver.clock == 10

@@ -765,6 +765,11 @@ class TestCheckpointResume:
         path.write_bytes(CHECKPOINT_MAGIC + b'\n{"version": 3}\nbody')
         with pytest.raises(CheckpointError, match="version 3"):
             resume_engine(path)
+        # A version-4 config may carry the retired latency_ms alias, which
+        # this build would silently ignore.
+        path.write_bytes(CHECKPOINT_MAGIC + b'\n{"version": 4}\nbody')
+        with pytest.raises(CheckpointError, match="version 4"):
+            resume_engine(path)
 
 
 @pytest.fixture(scope="module")

@@ -50,7 +50,10 @@ class TestBuildEngine:
 
     def test_overrides_forwarded(self):
         engine = build_engine(
-            mini_scenario(), "cow", latency_ms=9, max_states=123
+            mini_scenario(),
+            "cow",
+            medium_params={"latency_ms": 9},
+            max_states=123,
         )
         assert engine.medium.latency_ms == 9
         assert engine.max_states == 123

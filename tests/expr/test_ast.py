@@ -71,6 +71,20 @@ class TestInterning:
         e2 = add(x, bv(1))
         assert e1 == e2 and e1 is e2
 
+    def test_node_classes_use_identity_hashing(self):
+        # Interning makes == identity, so a Python-level __hash__/__eq__
+        # would only add a call to every dict and set operation.
+        classes, pending = set(), [ast.Expr]
+        while pending:
+            cls = pending.pop()
+            classes.add(cls)
+            pending.extend(cls.__subclasses__())
+        assert len(classes) >= 16  # Expr, BVExpr, BoolExpr + 13 node kinds
+        for cls in classes:
+            assert cls.__hash__ is object.__hash__, cls
+            assert cls.__eq__ is object.__eq__, cls
+            assert cls.__ne__ is object.__ne__, cls
+
     def test_intern_stats_grow(self):
         before = intern_stats()[0]
         var("totally_fresh_variable_name_xyz", 16)

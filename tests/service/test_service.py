@@ -208,7 +208,8 @@ class TestRejections:
             )[0]
             == 400
         )
-        for retired in ("solver_optimize", "fuse_ops", "loop_reuse"):
+        retired_fields = ("solver_optimize", "fuse_ops", "loop_reuse", "latency_ms")
+        for retired in retired_fields:
             status, out = service.submit(
                 {"workload": "flood", "size": 3, "config": {retired: False}}
             )

@@ -49,7 +49,8 @@ class TestValidation:
                 spec_dict(config={"checkpoint_path": "/tmp/evil"})
             )
         # retired engine knobs: a stale submission is a 400, not a 5xx
-        for retired in ("solver_optimize", "fuse_ops", "loop_reuse"):
+        retired_fields = ("solver_optimize", "fuse_ops", "loop_reuse", "latency_ms")
+        for retired in retired_fields:
             with pytest.raises(SpecError, match="not submittable"):
                 SubmissionSpec.from_dict(spec_dict(config={retired: False}))
         spec = SubmissionSpec.from_dict(

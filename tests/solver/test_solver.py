@@ -171,16 +171,6 @@ class TestCaching:
         after = solver.cache_stats()
         assert after["hit.exact"] > before["hit.exact"]
 
-    def test_model_reuse_on_superset(self):
-        solver = Solver()
-        m1 = solver.check([ult(X, bv(10))])
-        # The new conjunct is satisfied by the old model (models prefer
-        # small values, so x==0 works for both queries).
-        solver.check([ult(X, bv(10)), ult(X, bv(50))])
-        stats = solver.cache_stats()
-        assert stats["hit.exact"] + stats["hit.model"] >= 1
-        assert m1 is not None
-
     def test_cache_disabled(self):
         solver = Solver(use_cache=False)
         assert solver.check([eq(X, bv(5))])["x"] == 5
@@ -287,10 +277,10 @@ _EVERY_TIER_BATCH = (
         eq(_B4, bv(4, 4)),
     ],
     [
-        ([0], 1, "may", True, 2),  # backend UNSAT; the child hits cex
+        ([0], 1, "may", True, 2),  # backend UNSAT, for parent and child
         ([0], 1, "may", True, None),  # verdict memo on the shared node
-        ([3], 2, "may", False, None),  # stores the b-group model
-        ([3, 4], 2, "may", False, None),  # model-reuse tier
+        ([3], 2, "may", False, None),  # stores the a- and b-group answers
+        ([3, 4], 2, "may", False, None),  # exact tier: the a-group
         ([3, 5], 2, "branch", True, None),  # delta canonicalization
         ([0, 5], 1, "may", False, None),  # delta keeps the a-conjunct
         ([3, 5], 4, "may", True, None),  # model shortcut
@@ -339,7 +329,7 @@ class TestBruteForceOracle:
         and every (path, extra) query on one cached solver per batch with
         the path grown by ``ConstraintSet.extended`` — the form that puts
         the model shortcut, verdict memo, delta canonicalization and the
-        counterexample and model-reuse cache tiers in front of the oracle.
+        exact cache tier in front of the oracle.
         """
         fired = Counter()
 
@@ -374,13 +364,12 @@ class TestBruteForceOracle:
                     )
             stats = solver.stats_dict()
             cache = solver.cache_stats()
-            fired["cex"] += cache["hit.cex"]
-            fired["model"] += cache["hit.model"]
+            fired["exact"] += cache["hit.exact"]
             fired["shortcut"] += stats["shortcuts.model"]
             fired["verdict"] += stats["shortcuts.verdict"]
             fired["delta"] += stats["simplify.delta"]
 
         check_batch()
         assert all(fired[tier] > 0 for tier in (
-            "cex", "model", "shortcut", "verdict", "delta"
+            "shortcut", "verdict", "delta", "exact"
         )), fired
